@@ -12,17 +12,7 @@ Usage: python3 scripts/catalog_report.py [--samples 500]
 import argparse
 
 from cohomring import cohomology as coh
-from cohomring import poly
 from cohomring.rings import IntegerRing, ModularRing
-
-
-def ring_text(ring):
-    return f"Z{ring.n}" if isinstance(ring, ModularRing) else "Z"
-
-
-def presentation_line(entry):
-    relations = ", ".join(poly.render(g, entry.variables) for g in entry.basis.gens)
-    return f"{ring_text(entry.ring)}[{','.join(entry.variables)}]/({relations})"
 
 
 def main():
@@ -33,7 +23,7 @@ def main():
     for entry in coh.catalog_entries():
         pring = entry.presented
         print(entry.label())
-        print(f"  presentation: {presentation_line(entry)}")
+        print(f"  presentation: {entry.presentation()}")
         degs = ", ".join(
             f"deg {v} = {d}" for v, d in zip(entry.variables, entry.var_degrees)
         )
@@ -61,7 +51,7 @@ def main():
     ]
     for s1, s2, ring in featured:
         verdict = coh.distinguish(s1, s2, ring)
-        print(f"  {s1} vs {s2} over {ring_text(ring)}: {verdict.describe()}")
+        print(f"  {s1} vs {s2} over {ring}: {verdict.describe()}")
 
 
 if __name__ == "__main__":

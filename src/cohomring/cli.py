@@ -5,18 +5,14 @@ which never raises: domain problems (bad expressions, unsupported catalog
 pairs, non-invertible leads) exit 1, usage problems (unknown flags, missing
 arguments) exit 2. With --json the output is a single JSON object with the
 fields {command, inputs, result, diagnostics}, rendered with sorted keys so
-equal invocations produce identical bytes. The bench command is the one
-exception to byte-stability, since it reports wall-clock medians.
+equal invocations produce identical bytes.
 """
 
 import argparse
 import contextlib
 import io
 import json
-import random
-import statistics
 import sys
-import time
 
 from . import expr, poly
 from .cohomology import (
@@ -26,26 +22,18 @@ from .cohomology import (
     distinguish,
     parse_space,
 )
-from .dsum import dsum_equal
 from .errors import AlgebraError, ConfigError
 from .ideal import complete_to_groebner, is_groebner, make_basis
 from .ideal import reduce as reduce_to_normal
-from .rings import IntegerRing, ModularRing, parse_ring
-
-
-def _ring_text(ring) -> str:
-    return f"Z{ring.n}" if isinstance(ring, ModularRing) else "Z"
-
-
-def _names(args) -> tuple:
-    names = tuple(s.strip() for s in args.vars.split(",") if s.strip())
-    if not names:
-        raise ConfigError("no variables declared")
-    return names
+from .rings import parse_ring
 
 
 def _poly_setup(args):
-    return parse_ring(args.ring), _names(args)
+    ring = parse_ring(args.ring)
+    names = tuple(s.strip() for s in args.vars.split(",") if s.strip())
+    if not names:
+        raise ConfigError("no variables declared")
+    return ring, names
 
 
 def _handle_normalize(args):
@@ -103,16 +91,14 @@ def _handle_groebner_check(args):
 
 def _handle_cohomology_ring(args):
     entry = catalog_get(parse_space(args.space), parse_ring(args.coeff))
-    relations = [poly.render(g, entry.variables) for g in entry.basis.gens]
-    head = f"{_ring_text(entry.ring)}[{','.join(entry.variables)}]/({', '.join(relations)})"
     degs = ", ".join(f"deg {v} = {d}" for v, d in zip(entry.variables, entry.var_degrees))
     result = {
-        "ring": _ring_text(entry.ring),
+        "ring": str(entry.ring),
         "variables": list(entry.variables),
         "degrees": list(entry.var_degrees),
-        "relations": relations,
+        "relations": [poly.render(g, entry.variables) for g in entry.basis.gens],
     }
-    return result, f"{head}\n{degs}", {}
+    return result, f"{entry.presentation()}\n{degs}", {}
 
 
 def _handle_cohomology_group(args):
@@ -131,60 +117,6 @@ def _handle_distinguish(args):
         parse_space(args.space1), parse_space(args.space2), parse_ring(args.coeff)
     )
     return verdict.describe(), verdict.describe(), {}
-
-
-def _handle_bench(args):
-    if args.trials < 1:
-        raise ConfigError("trials must be at least 1")
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot read sizes {args.sizes!r}") from None
-    if not sizes or any(n < 1 for n in sizes):
-        raise ConfigError("sizes must be positive integers")
-    reps = tuple(r.strip() for r in args.reps.split(",") if r.strip())
-    if not reps or set(reps) - {"sparse", "dense"}:
-        raise ConfigError("representations must come from sparse,dense")
-    workloads = ("sparse", "dense") if args.workload == "both" else (args.workload,)
-    ring = IntegerRing()
-    rng = random.Random(0)
-    rows, lines = [], []
-    for workload in workloads:
-        for n in sizes:
-            if workload == "sparse":
-                if n < 4:
-                    raise ConfigError("sparse workload sizes start at 4")
-                if n > 200000:
-                    raise ConfigError("sparse workload sizes above 200000 are not supported")
-                a = poly.uni_sparse(ring, [(3, 2), (n, 1)])
-                b = a
-            else:
-                # the sparse representation walks all n^2 term pairs here,
-                # so keep dense workloads at desk scale
-                if n > 4096:
-                    raise ConfigError("dense workload sizes above 4096 are not supported")
-                a = poly.uni_sparse(ring, [(i, rng.randint(1, 9)) for i in range(n)])
-                b = poly.uni_sparse(ring, [(i, rng.randint(1, 9)) for i in range(n)])
-            ad, bd = poly.convert(a, "dense"), poly.convert(b, "dense")
-            if not dsum_equal(poly.mul(a, b), poly.mul(ad, bd)):
-                raise ConfigError("representations disagree on this workload")
-            operands = {"sparse": (a, b), "dense": (ad, bd)}
-            timings = {}
-            for rep in reps:
-                x, y = operands[rep]
-                poly.mul(x, y)  # warm-up, discarded
-                laps = []
-                for _ in range(args.trials):
-                    started = time.perf_counter()
-                    poly.mul(x, y)
-                    laps.append(time.perf_counter() - started)
-                timings[rep] = round(statistics.median(laps) * 1000, 4)
-            rows.append({"workload": workload, "size": n, "timings_ms": timings})
-            lines.append(
-                f"{workload} n={n}: "
-                + ", ".join(f"{rep} {timings[rep]:.4f} ms" for rep in reps)
-            )
-    return {"rows": rows}, "\n".join(lines), {"cross_check": "equal", "trials": args.trials}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -237,11 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("cohomology-distinguish", _handle_distinguish, [coh], "tell two spaces apart")
     p.add_argument("space1")
     p.add_argument("space2")
-    p = cmd("bench", _handle_bench, [], "sparse versus dense multiplication timings")
-    p.add_argument("--workload", choices=["sparse", "dense", "both"], default="both")
-    p.add_argument("--sizes", default="64,256", help="comma-separated operand sizes")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--reps", default="sparse,dense", help="representations to time")
     return parser
 
 
@@ -257,18 +184,11 @@ def run_command(argv) -> tuple:
     inputs = {
         k: v for k, v in vars(args).items() if k not in ("handler", "command", "json")
     }
+    code = 0
     try:
         result, human, diagnostics = args.handler(args)
     except AlgebraError as err:
-        if args.json:
-            payload = {
-                "command": args.command,
-                "inputs": inputs,
-                "result": None,
-                "diagnostics": {"error": str(err)},
-            }
-            return 1, json.dumps(payload, sort_keys=True)
-        return 1, f"error: {err}"
+        code, result, human, diagnostics = 1, None, f"error: {err}", {"error": str(err)}
     if args.json:
         payload = {
             "command": args.command,
@@ -276,8 +196,8 @@ def run_command(argv) -> tuple:
             "result": result,
             "diagnostics": diagnostics,
         }
-        return 0, json.dumps(payload, sort_keys=True)
-    return 0, human
+        return code, json.dumps(payload, sort_keys=True)
+    return code, human
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,8 @@ exhaustive search refutes every candidate graded isomorphism.
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from . import graded, poly
 from .dsum import NAT, SparseSum
@@ -165,8 +167,10 @@ def presented_ring(groups_spec: dict, products_by_name: dict) -> PresentedGraded
             if name in location:
                 raise AlgebraError(f"generator name {name!r} reused")
             location[name] = (d, i)
+    unknown = sorted(pair for pair in products_by_name if not set(pair) <= location.keys())
+    if unknown:
+        raise AlgebraError(f"products named for unknown generators: {unknown}")
     gdict = dict(groups)
-    unused = set(products_by_name)
     products = []
     gens = [(d, i, name) for d, g in groups for i, name in enumerate(g.names)]
     for (n, i, a), (m, j, b) in itertools.product(gens, repeat=2):
@@ -177,13 +181,9 @@ def presented_ring(groups_spec: dict, products_by_name: dict) -> PresentedGraded
             coords = tuple(1 if t == i else 0 for t in range(target.rank))
         else:
             coords = products_by_name.get((a, b), (0,) * target.rank)
-            unused.discard((a, b))
             if target.is_zero():
                 coords = ()
         products.append(((n, i), (m, j), target.canon(tuple(coords))))
-    leftovers = {k for k in unused if k[0] != "eta" and k[1] != "eta"}
-    if leftovers:
-        raise AlgebraError(f"products named for unknown generators: {sorted(leftovers)}")
     return PresentedGradedRing(groups, tuple(products))
 
 
@@ -279,6 +279,11 @@ class CatalogEntry:
     def label(self) -> str:
         return f"{self.space} with {self.ring} coefficients"
 
+    def presentation(self) -> str:
+        """The quotient as text, e.g. Z2[X,Y]/(X^3, Y^2, X*Y + X^2)."""
+        relations = ", ".join(poly.render(g, self.variables) for g in self.basis.gens)
+        return f"{self.ring}[{','.join(self.variables)}]/({relations})"
+
     def _var_elem(self, vi: int) -> SparseSum:
         degree, coords = self.var_images[vi]
         return SparseSum.single(NAT, PresentationFamily(self.presented), degree, coords)
@@ -326,8 +331,12 @@ class CatalogEntry:
                     raise AlgebraError(f"no monomial maps to generator ({d}, {i})")
         return table
 
+    @cached_property
+    def _generator_table(self) -> dict:
+        return self.generator_monomials()
+
     def to_quotient(self, g: SparseSum) -> QuotElem:
-        table = self.generator_monomials()
+        table = self._generator_table
         terms = []
         for d, coords in g.terms:
             for i, v in enumerate(coords):
@@ -342,135 +351,107 @@ _Z = IntegerRing()
 _Z2 = ModularRing(2)
 
 
-def _sphere_entry(n: int) -> CatalogEntry:
-    pring = presented_ring(
+class _Row(NamedTuple):
+    """One catalog row: the ring as groups plus hand-written cup products, and
+    as a quotient by relations given as {exponents: coefficient}."""
+
+    groups: dict
+    products: dict
+    variables: tuple
+    relations: tuple
+    images: tuple  # ((degree, coords), ...) aligned with variables
+
+
+def _sphere_row(n: int) -> _Row:
+    return _Row(
         {0: ((0,), ("eta",)), n: ((0,), ("alpha",))},
         {},
+        ("X",),
+        ({(2,): 1},),
+        ((n, (1,)),),
     )
-    basis = make_basis([poly.multi(_Z, 1, {(2,): 1})])
-    return CatalogEntry(Space("sphere", n), _Z, pring, ("X",), (n,), basis, ((n, (1,)),))
 
 
-def _cp2_entry() -> CatalogEntry:
-    pring = presented_ring(
+# K2 and RP2vS1 share this integral presentation; telling them apart needs
+# the mod-2 rows
+_TORSION_SURFACE = _Row(
+    {0: ((0,), ("eta",)), 1: ((0,), ("alpha",)), 2: ((2,), ("beta",))},
+    {("alpha", "alpha"): (0,)},
+    ("X", "Y"),
+    ({(2, 0): 1}, {(1, 1): 1}, {(0, 1): 2}, {(0, 2): 1}),
+    ((1, (1,)), (2, (1,))),
+)
+
+_MOD2_SURFACE_GROUPS = {0: ((2,), ("eta",)), 1: ((2, 2), ("alpha", "beta")), 2: ((2,), ("gamma",))}
+
+# The cup products are independent data, not derived from the relations:
+# verify_entry checks that the two descriptions agree. Iteration order is
+# the order of catalog_entries().
+_CATALOG = {
+    ("sphere", _Z): _sphere_row,
+    ("cp2", _Z): _Row(
         {0: ((0,), ("eta",)), 2: ((0,), ("alpha",)), 4: ((0,), ("beta",))},
         {("alpha", "alpha"): (1,)},
-    )
-    basis = make_basis([poly.multi(_Z, 1, {(3,): 1})])
-    return CatalogEntry(Space("cp2"), _Z, pring, ("X",), (2,), basis, ((2, (1,)),))
-
-
-def _s2vs4_entry() -> CatalogEntry:
-    pring = presented_ring(
+        ("X",),
+        ({(3,): 1},),
+        ((2, (1,)),),
+    ),
+    ("s2vs4", _Z): _Row(
         {0: ((0,), ("eta",)), 2: ((0,), ("alpha",)), 4: ((0,), ("beta",))},
         {("alpha", "alpha"): (0,)},
-    )
-    basis = make_basis(
-        [
-            poly.multi(_Z, 2, {(2, 0): 1}),
-            poly.multi(_Z, 2, {(1, 1): 1}),
-            poly.multi(_Z, 2, {(0, 2): 1}),
-        ]
-    )
-    return CatalogEntry(
-        Space("s2vs4"), _Z, pring, ("X", "Y"), (2, 4), basis, ((2, (1,)), (4, (1,)))
-    )
-
-
-def _torsion_surface_entry(space: Space) -> CatalogEntry:
-    # K2 and RP2vS1 share this integral presentation; telling them apart
-    # needs the mod-2 entries below
-    pring = presented_ring(
-        {0: ((0,), ("eta",)), 1: ((0,), ("alpha",)), 2: ((2,), ("beta",))},
-        {("alpha", "alpha"): (0,)},
-    )
-    basis = make_basis(
-        [
-            poly.multi(_Z, 2, {(2, 0): 1}),
-            poly.multi(_Z, 2, {(1, 1): 1}),
-            poly.multi(_Z, 2, {(0, 1): 2}),
-            poly.multi(_Z, 2, {(0, 2): 1}),
-        ]
-    )
-    return CatalogEntry(
-        space, _Z, pring, ("X", "Y"), (1, 2), basis, ((1, (1,)), (2, (1,)))
-    )
-
-
-def _klein_mod2_entry() -> CatalogEntry:
-    pring = presented_ring(
-        {0: ((2,), ("eta",)), 1: ((2, 2), ("alpha", "beta")), 2: ((2,), ("gamma",))},
+        ("X", "Y"),
+        ({(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}),
+        ((2, (1,)), (4, (1,))),
+    ),
+    ("k2", _Z): _TORSION_SURFACE,
+    ("rp2vs1", _Z): _TORSION_SURFACE,
+    ("k2", _Z2): _Row(
+        _MOD2_SURFACE_GROUPS,
         {
             ("alpha", "alpha"): (1,),
             ("alpha", "beta"): (1,),
             ("beta", "alpha"): (1,),
             ("beta", "beta"): (0,),
         },
-    )
-    basis = make_basis(
-        [
-            poly.multi(_Z2, 2, {(3, 0): 1}),
-            poly.multi(_Z2, 2, {(0, 2): 1}),
-            poly.multi(_Z2, 2, {(2, 0): 1, (1, 1): 1}),
-        ]
-    )
-    return CatalogEntry(
-        Space("k2"), _Z2, pring, ("X", "Y"), (1, 1), basis, ((1, (1, 0)), (1, (0, 1)))
-    )
-
-
-def _rp2vs1_mod2_entry() -> CatalogEntry:
-    pring = presented_ring(
-        {0: ((2,), ("eta",)), 1: ((2, 2), ("alpha", "beta")), 2: ((2,), ("gamma",))},
+        ("X", "Y"),
+        ({(3, 0): 1}, {(0, 2): 1}, {(2, 0): 1, (1, 1): 1}),
+        ((1, (1, 0)), (1, (0, 1))),
+    ),
+    ("rp2vs1", _Z2): _Row(
+        _MOD2_SURFACE_GROUPS,
         {
             ("alpha", "alpha"): (1,),
             ("alpha", "beta"): (0,),
             ("beta", "alpha"): (0,),
             ("beta", "beta"): (0,),
         },
-    )
-    basis = make_basis(
-        [
-            poly.multi(_Z2, 2, {(3, 0): 1}),
-            poly.multi(_Z2, 2, {(0, 2): 1}),
-            poly.multi(_Z2, 2, {(1, 1): 1}),
-        ]
-    )
-    return CatalogEntry(
-        Space("rp2vs1"), _Z2, pring, ("X", "Y"), (1, 1), basis, ((1, (1, 0)), (1, (0, 1)))
-    )
+        ("X", "Y"),
+        ({(3, 0): 1}, {(0, 2): 1}, {(1, 1): 1}),
+        ((1, (1, 0)), (1, (0, 1))),
+    ),
+}
 
 
 def catalog_get(space: Space, ring: Ring) -> CatalogEntry:
     """The catalog entry for a space/coefficient pair, or UnsupportedPairError."""
-    if ring == _Z:
-        if space.kind == "sphere":
-            return _sphere_entry(space.dim)
-        if space.kind == "cp2":
-            return _cp2_entry()
-        if space.kind == "s2vs4":
-            return _s2vs4_entry()
-        if space.kind in ("k2", "rp2vs1"):
-            return _torsion_surface_entry(space)
-    if ring == _Z2 and space.kind == "k2":
-        return _klein_mod2_entry()
-    if ring == _Z2 and space.kind == "rp2vs1":
-        return _rp2vs1_mod2_entry()
-    raise UnsupportedPairError("unsupported coefficient for this space")
+    row = _CATALOG.get((space.kind, ring))
+    if row is None:
+        raise UnsupportedPairError("unsupported coefficient for this space")
+    if callable(row):
+        row = row(space.dim)
+    arity = len(row.variables)
+    basis = make_basis([poly.multi(ring, arity, rel) for rel in row.relations])
+    var_degrees = tuple(d for d, _ in row.images)
+    pring = presented_ring(row.groups, row.products)
+    return CatalogEntry(space, ring, pring, row.variables, var_degrees, basis, row.images)
 
 
 def catalog_entries() -> list:
     """One entry per catalog row, with a few sphere dimensions sampled."""
     return [
-        _sphere_entry(1),
-        _sphere_entry(2),
-        _sphere_entry(3),
-        _cp2_entry(),
-        _s2vs4_entry(),
-        _torsion_surface_entry(Space("k2")),
-        _torsion_surface_entry(Space("rp2vs1")),
-        _klein_mod2_entry(),
-        _rp2vs1_mod2_entry(),
+        catalog_get(Space(kind, dim), ring)
+        for kind, ring in _CATALOG
+        for dim in ((1, 2, 3) if kind == "sphere" else (0,))
     ]
 
 
@@ -697,15 +678,12 @@ def all_ring_elements(pring: PresentedGradedRing, cap: int = 64):
         count *= o
         if count > cap:
             return None
-    fam = PresentationFamily(pring)
     out = []
     for combo in itertools.product(*[range(o) for _, _, o in slots]):
         by_degree: dict = {}
         for (d, i, _), v in zip(slots, combo):
             by_degree.setdefault(d, [0] * pring.group(d).rank)[i] = v
-        out.append(
-            SparseSum.from_terms(NAT, fam, ((d, tuple(v)) for d, v in by_degree.items()))
-        )
+        out.append(elem(pring, by_degree))
     return out
 
 

@@ -71,7 +71,7 @@ class UnknownVariableError(AlgebraError):
 
 
 class ConfigError(AlgebraError):
-    """Benchmark or command configuration is unusable."""
+    """Command configuration is unusable."""
 
 
 class ParseError(AlgebraError):

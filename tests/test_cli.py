@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohomring.cli import main, run_command
+from cohomring.cohomology import catalog_entries
 
 REDUCE_ARGS = [
     "reduce",
@@ -162,6 +163,53 @@ def test_cohomology_ring_json_shape():
     }
 
 
+PINNED_CATALOG = [
+    # space, coeff, human text, JSON "result" field
+    ("S1", "Z", "Z[X]/(X^2)\ndeg X = 1",
+     '{"degrees": [1], "relations": ["X^2"], "ring": "Z", "variables": ["X"]}'),
+    ("S2", "Z", "Z[X]/(X^2)\ndeg X = 2",
+     '{"degrees": [2], "relations": ["X^2"], "ring": "Z", "variables": ["X"]}'),
+    ("S3", "Z", "Z[X]/(X^2)\ndeg X = 3",
+     '{"degrees": [3], "relations": ["X^2"], "ring": "Z", "variables": ["X"]}'),
+    ("S5", "Z", "Z[X]/(X^2)\ndeg X = 5",
+     '{"degrees": [5], "relations": ["X^2"], "ring": "Z", "variables": ["X"]}'),
+    ("CP2", "Z", "Z[X]/(X^3)\ndeg X = 2",
+     '{"degrees": [2], "relations": ["X^3"], "ring": "Z", "variables": ["X"]}'),
+    ("S2vS4", "Z", "Z[X,Y]/(X^2, X*Y, Y^2)\ndeg X = 2, deg Y = 4",
+     '{"degrees": [2, 4], "relations": ["X^2", "X*Y", "Y^2"], "ring": "Z", "variables": ["X", "Y"]}'),
+    ("K2", "Z", "Z[X,Y]/(X^2, X*Y, 2*Y, Y^2)\ndeg X = 1, deg Y = 2",
+     '{"degrees": [1, 2], "relations": ["X^2", "X*Y", "2*Y", "Y^2"], "ring": "Z", "variables": ["X", "Y"]}'),
+    ("RP2vS1", "Z", "Z[X,Y]/(X^2, X*Y, 2*Y, Y^2)\ndeg X = 1, deg Y = 2",
+     '{"degrees": [1, 2], "relations": ["X^2", "X*Y", "2*Y", "Y^2"], "ring": "Z", "variables": ["X", "Y"]}'),
+    ("K2", "Z2", "Z2[X,Y]/(X^3, Y^2, X*Y + X^2)\ndeg X = 1, deg Y = 1",
+     '{"degrees": [1, 1], "relations": ["X^3", "Y^2", "X*Y + X^2"], "ring": "Z2", "variables": ["X", "Y"]}'),
+    ("RP2vS1", "Z2", "Z2[X,Y]/(X^3, Y^2, X*Y)\ndeg X = 1, deg Y = 1",
+     '{"degrees": [1, 1], "relations": ["X^3", "Y^2", "X*Y"], "ring": "Z2", "variables": ["X", "Y"]}'),
+]
+
+
+def test_catalog_output_is_pinned():
+    assert [e.label() for e in catalog_entries()] == [
+        "S1 with Z coefficients",
+        "S2 with Z coefficients",
+        "S3 with Z coefficients",
+        "CP2 with Z coefficients",
+        "S2vS4 with Z coefficients",
+        "K2 with Z coefficients",
+        "RP2vS1 with Z coefficients",
+        "K2 with Z2 coefficients",
+        "RP2vS1 with Z2 coefficients",
+    ]
+    for space, coeff, text, result in PINNED_CATALOG:
+        argv = ["cohomology-ring", space, "--coeff", coeff]
+        assert run_command(argv) == (0, text)
+        assert run_command(argv + ["--json"]) == (
+            0,
+            '{"command": "cohomology-ring", "diagnostics": {}, '
+            f'"inputs": {{"coeff": "{coeff}", "space": "{space}"}}, "result": {result}}}',
+        )
+
+
 def test_cohomology_group():
     assert run_command(["cohomology-group", "K2", "2", "--coeff", "Z"]) == (0, "Z2")
     assert run_command(["cohomology-group", "K2", "1", "--coeff", "Z2"]) == (
@@ -227,32 +275,6 @@ def test_json_output_is_stable():
         ["eval", "X^2", "5", "--vars", "X", "--json"],
     ):
         assert run_command(argv) == run_command(argv)
-
-
-def test_bench_runs():
-    code, text = run_command(
-        ["bench", "--workload", "sparse", "--sizes", "64", "--trials", "1"]
-    )
-    assert code == 0
-    assert "n=64" in text and "sparse" in text and "dense" in text
-
-
-def test_bench_json_reports_timings():
-    code, text = run_command(
-        ["bench", "--workload", "dense", "--sizes", "32", "--trials", "1", "--json"]
-    )
-    assert code == 0
-    payload = json.loads(text)
-    assert payload["diagnostics"]["cross_check"] == "equal"
-    row = payload["result"]["rows"][0]
-    assert row["workload"] == "dense" and row["size"] == 32
-    assert set(row["timings_ms"]) == {"sparse", "dense"}
-
-
-def test_bench_zero_trials():
-    code, text = run_command(["bench", "--trials", "0"])
-    assert code == 1
-    assert text.startswith("error:")
 
 
 def test_main_prints_and_returns(capsys):

@@ -3,6 +3,7 @@ import pytest
 from cohomring import cohomology as coh
 from cohomring import ideal, poly
 from cohomring.errors import (
+    AlgebraError,
     NotFiniteError,
     SearchSpaceTooLargeError,
     UnsupportedPairError,
@@ -160,6 +161,22 @@ def test_quotient_roundtrip_on_catalog_entries():
             assert entry.to_quotient(g) == q
 
 
+def test_to_quotient_builds_the_generator_table_once(monkeypatch):
+    calls = []
+    original = coh.CatalogEntry.generator_monomials
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(coh.CatalogEntry, "generator_monomials", counted)
+    entry = coh.catalog_get(KLEIN, Z2)
+    for d, i in ((0, 0), (1, 0), (1, 1), (2, 0)):
+        g = coh.generator_elem(entry.presented, d, i)
+        assert entry.from_quotient(entry.to_quotient(g)) == g
+    assert len(calls) == 1
+
+
 def test_verify_entry_passes_for_every_catalog_entry():
     for entry in coh.catalog_entries():
         report = coh.verify_entry(entry, samples=50, seed=3)
@@ -213,6 +230,14 @@ def test_iso_search_requires_finite_prime_coefficients():
     b = coh.catalog_get(RPW, Z).presented
     with pytest.raises(NotFiniteError):
         coh.find_graded_iso(a, b)
+
+
+def test_presented_ring_refuses_products_of_unknown_generators():
+    groups = {0: ((0,), ("e",)), 1: ((0,), ("alpha",))}
+    assert coh.presented_ring(groups, {("alpha", "alpha"): ()}).degrees() == (0, 1)
+    for pair in (("alpha", "beta"), ("eta", "alpha"), ("alpha", "eta")):
+        with pytest.raises(AlgebraError, match="unknown generators"):
+            coh.presented_ring(groups, {pair: ()})
 
 
 def test_iso_search_bails_out_on_a_huge_space():

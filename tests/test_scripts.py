@@ -1,0 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_catalog_report_verifies_every_entry():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "catalog_report.py"), "--samples", "20"],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    statuses = [line.strip() for line in done.stdout.splitlines() if "verification:" in line]
+    assert len(statuses) == 9
+    assert all(s.startswith("verification: ok,") for s in statuses), statuses
