@@ -24,10 +24,7 @@ def main():
         pring = entry.presented
         print(entry.label())
         print(f"  presentation: {entry.presentation()}")
-        degs = ", ".join(
-            f"deg {v} = {d}" for v, d in zip(entry.variables, entry.var_degrees)
-        )
-        print(f"  generators:   {degs}")
+        print(f"  generators:   {entry.degree_line()}")
         groups = ", ".join(f"H^{d} = {pring.group(d).text()}" for d in pring.degrees())
         print(f"  groups:       {groups}")
         nontrivial = [

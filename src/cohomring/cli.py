@@ -25,7 +25,7 @@ from .cohomology import (
 from .errors import AlgebraError, ConfigError
 from .ideal import complete_to_groebner, is_groebner, make_basis
 from .ideal import reduce as reduce_to_normal
-from .rings import parse_ring
+from .rings import check_printable, parse_ring
 
 
 def _poly_setup(args):
@@ -68,6 +68,7 @@ def _handle_eval(args):
     if len(point) != len(names):
         raise ConfigError(f"expected {len(names)} values, got {len(point)}")
     value = poly.multi_eval(p, point)
+    check_printable(value)
     return value, str(value), {}
 
 
@@ -91,14 +92,13 @@ def _handle_groebner_check(args):
 
 def _handle_cohomology_ring(args):
     entry = catalog_get(parse_space(args.space), parse_ring(args.coeff))
-    degs = ", ".join(f"deg {v} = {d}" for v, d in zip(entry.variables, entry.var_degrees))
     result = {
         "ring": str(entry.ring),
         "variables": list(entry.variables),
         "degrees": list(entry.var_degrees),
-        "relations": [poly.render(g, entry.variables) for g in entry.basis.gens],
+        "relations": list(entry.relations),
     }
-    return result, f"{entry.presentation()}\n{degs}", {}
+    return result, f"{entry.presentation()}\n{entry.degree_line()}", {}
 
 
 def _handle_cohomology_group(args):

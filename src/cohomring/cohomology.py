@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedPairError,
 )
 from .ideal import QuotElem, RewriteBasis, make_basis, normal_monomials
-from .rings import IntegerRing, ModularRing, Ring
+from .rings import IntegerRing, ModularRing, Ring, check_digits
 
 # ---------------------------------------------------------------------- spaces
 
@@ -55,7 +55,8 @@ def parse_space(text: str) -> Space:
     t = text.strip()
     if t in _FIXED_SPACES:
         return _FIXED_SPACES[t]
-    if t.startswith("S") and t[1:].isdigit():
+    if t.startswith("S") and t[1:].isdecimal():
+        check_digits(len(t) - 1, "the sphere dimension")
         n = int(t[1:])
         if n >= 1:
             return Space("sphere", n)
@@ -153,9 +154,10 @@ def presented_ring(groups_spec: dict, products_by_name: dict) -> PresentedGraded
     """Build a PresentedGradedRing from readable data.
 
     groups_spec maps degree -> (orders, names); products_by_name maps a pair
-    of generator names to product coordinates. Unit products are filled in,
-    products landing in unrecorded degrees become zero, and any remaining
-    unnamed pair of generators defaults to the zero product.
+    of generator names to product coordinates. Unit products are filled in (a
+    named one that disagrees with the unit law is refused), products landing
+    in unrecorded degrees become zero, and any remaining unnamed pair of
+    generators defaults to the zero product.
     """
     groups = tuple(
         (d, GroupPresentation(tuple(orders), tuple(names)))
@@ -175,10 +177,12 @@ def presented_ring(groups_spec: dict, products_by_name: dict) -> PresentedGraded
     gens = [(d, i, name) for d, g in groups for i, name in enumerate(g.names)]
     for (n, i, a), (m, j, b) in itertools.product(gens, repeat=2):
         target = gdict.get(n + m, _ZERO_GROUP)
-        if n == 0:
-            coords = tuple(1 if t == j else 0 for t in range(target.rank))
-        elif m == 0:
-            coords = tuple(1 if t == i else 0 for t in range(target.rank))
+        if n == 0 or m == 0:
+            k = j if n == 0 else i
+            coords = tuple(1 if t == k else 0 for t in range(target.rank))
+            named = products_by_name.get((a, b))
+            if named is not None and target.canon(tuple(named)) != target.canon(coords):
+                raise AlgebraError(f"product {a}*{b} = {named} contradicts the unit law")
         else:
             coords = products_by_name.get((a, b), (0,) * target.rank)
             if target.is_zero():
@@ -279,10 +283,18 @@ class CatalogEntry:
     def label(self) -> str:
         return f"{self.space} with {self.ring} coefficients"
 
+    @cached_property
+    def relations(self) -> tuple:
+        """The generators of the ideal, rendered."""
+        return tuple(poly.render(g, self.variables) for g in self.basis.gens)
+
     def presentation(self) -> str:
         """The quotient as text, e.g. Z2[X,Y]/(X^3, Y^2, X*Y + X^2)."""
-        relations = ", ".join(poly.render(g, self.variables) for g in self.basis.gens)
-        return f"{self.ring}[{','.join(self.variables)}]/({relations})"
+        return f"{self.ring}[{','.join(self.variables)}]/({', '.join(self.relations)})"
+
+    def degree_line(self) -> str:
+        """The variables' degrees as text, e.g. deg X = 1, deg Y = 2."""
+        return ", ".join(f"deg {v} = {d}" for v, d in zip(self.variables, self.var_degrees))
 
     def _var_elem(self, vi: int) -> SparseSum:
         degree, coords = self.var_images[vi]

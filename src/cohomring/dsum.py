@@ -37,6 +37,11 @@ class NatIndex:
             raise IndexMismatchError(f"natural index expected, got {i!r}")
 
 
+def grlex_key(m: tuple):
+    """Graded-lex sort key: total degree first, then left to right."""
+    return (sum(m), m)
+
+
 @dataclass(frozen=True)
 class ExpIndex:
     """Exponent vectors of a fixed arity under componentwise addition.
@@ -55,8 +60,7 @@ class ExpIndex:
             raise ArityMismatchError(f"arity {len(i)} vs {len(j)}")
         return tuple(a + b for a, b in zip(i, j))
 
-    def key(self, i: tuple):
-        return (sum(i), i)
+    key = staticmethod(grlex_key)
 
     def validate(self, i: Index) -> None:
         if not isinstance(i, tuple) or len(i) != self.arity:

@@ -70,6 +70,10 @@ class UnknownVariableError(AlgebraError):
     """Expression uses a variable that was not declared."""
 
 
+class NumberTooLargeError(AlgebraError):
+    """An integer with more decimal digits than the interpreter converts to or from text."""
+
+
 class ConfigError(AlgebraError):
     """Command configuration is unusable."""
 

@@ -14,9 +14,11 @@ renders as "-X + ...".
 
 from . import poly
 from .errors import ParseError, UnknownVariableError
-from .rings import Ring
+from .rings import Ring, check_digits
 
 _PUNCT = "+-*^(),"
+# deepest parenthesis nesting parsed; each level costs three Python frames
+MAX_NESTING = 100
 
 
 def _tokenize(text: str, base: int = 0) -> list:
@@ -26,10 +28,11 @@ def _tokenize(text: str, base: int = 0) -> list:
         c = text[i]
         if c.isspace():
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
+            check_digits(j - i, f"the number at position {base + i}")
             out.append(("int", text[i:j], base + i))
             i = j
         elif c.isalpha() or c == "_":
@@ -51,6 +54,7 @@ class _Parser:
     def __init__(self, tokens: list, ring: Ring, names):
         self.tokens = tokens
         self.at = 0
+        self.depth = 0
         self.ring = ring
         self.names = tuple(names)
         self.index = {name: k for k, name in enumerate(self.names)}
@@ -97,8 +101,12 @@ class _Parser:
     def factor(self):
         kind, text, pos = self.peek()
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect(")", '")"')
             return inner
         if kind == "name":

@@ -7,8 +7,10 @@ RewriteBasis reduces polynomials in one of two modes:
   * field: ordinary multivariate division by monic generators, with
     S-polynomials, a Buchberger confluence check, and completion;
   * term-ideal: generators over the integers of the single-term form c*m;
-    a term divisible by m gets its coefficient reduced modulo c, so c = 1
-    deletes the term and c = 2 leaves a mod-2 residue.
+    the coefficient of a term at monomial n is reduced modulo the gcd of
+    the c of every generator whose m divides n (the coefficients the ideal
+    holds at n are the multiples of that gcd), so gcd 1 deletes the term
+    and gcd 2 leaves a mod-2 residue.
 
 QuotElem wraps a polynomial kept in normal form, which makes quotient-ring
 arithmetic plain polynomial arithmetic followed by reduction.
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import poly
-from .dsum import ExpIndex, SparseSum
+from .dsum import ExpIndex, SparseSum, grlex_key
 from .errors import (
     ArityMismatchError,
     BasisMismatchError,
@@ -36,10 +38,6 @@ TERM_IDEAL = "term-ideal"
 
 
 # ------------------------------------------------------------------ monomials
-
-
-def grlex_key(m: tuple):
-    return (sum(m), m)
 
 
 def mono_cmp(a: tuple, b: tuple) -> int:
@@ -65,6 +63,18 @@ def _mono_lcm(m: tuple, n: tuple) -> tuple:
 def _lead(p: SparseSum) -> tuple:
     """(monomial, coefficient) of the graded-lex greatest term."""
     return p.terms[-1]
+
+
+def _monic(p: SparseSum) -> SparseSum:
+    """p scaled by the inverse of its leading coefficient."""
+    ring = p.family.ring
+    lc = _lead(p)[1]
+    if lc == ring.one:
+        return p
+    inv = ring.try_invert(lc)
+    if inv is None:
+        raise NonInvertibleLeadError(f"leading coefficient {lc} is not a unit")
+    return _scaled_shift(p, p.monoid.unit(), inv)
 
 
 def _scaled_shift(p: SparseSum, delta: tuple, scalar: int) -> SparseSum:
@@ -123,14 +133,7 @@ def make_basis(gens, mode: str | None = None) -> RewriteBasis:
             )
 
     if mode == FIELD:
-        monic = []
-        for g in gens:
-            lm, lc = _lead(g)
-            inv = ring.try_invert(lc)
-            if inv is None:
-                raise NonInvertibleLeadError(f"leading coefficient {lc} is not a unit")
-            monic.append(g if lc == ring.one else _scaled_shift(g, (0,) * arity, inv))
-        gens = monic
+        gens = [_monic(g) for g in gens]
     elif mode == TERM_IDEAL:
         if not isinstance(ring, IntegerRing) or not single_terms:
             raise ModeMismatchError("term-ideal mode needs integer single-term generators")
@@ -157,13 +160,22 @@ def reduce(p: SparseSum, basis: RewriteBasis) -> SparseSum:
     return _reduce_term_ideal(p, basis)
 
 
+def _dividing(basis: RewriteBasis, m: tuple):
+    """The generators whose leading monomial divides m, in basis order."""
+    return (g for g in basis.gens if _divides(_lead(g)[0], m))
+
+
+def _modulus_at(basis: RewriteBasis, m: tuple) -> int:
+    """Term-ideal mode: gcd of the moduli of the generators dividing m, 0 if none."""
+    return math.gcd(*(g.terms[0][1] for g in _dividing(basis, m)))
+
+
 def _reduce_field(p: SparseSum, basis: RewriteBasis) -> SparseSum:
-    leads = [(_lead(g)[0], g) for g in basis.gens]
     remainder = []  # collected from the top down
     work = p
     while work.terms:
         lm, lc = _lead(work)
-        hit = next((g for glm, g in leads if _divides(glm, lm)), None)
+        hit = next(_dividing(basis, lm), None)
         if hit is None:
             remainder.append((lm, lc))
             work = SparseSum(work.monoid, work.family, work.terms[:-1])
@@ -173,18 +185,11 @@ def _reduce_field(p: SparseSum, basis: RewriteBasis) -> SparseSum:
 
 
 def _reduce_term_ideal(p: SparseSum, basis: RewriteBasis) -> SparseSum:
-    rules = [g.terms[0] for g in basis.gens]
     out = []
     for m, c in p.terms:
-        changed = True
-        while changed:
-            changed = False
-            for gm, gc in rules:
-                if _divides(gm, m):
-                    r = c % gc
-                    if r != c:
-                        c = r
-                        changed = True
+        g = _modulus_at(basis, m)
+        if g:
+            c %= g
         if c:
             out.append((m, c))
     return SparseSum(p.monoid, p.family, tuple(out))
@@ -197,15 +202,11 @@ def s_poly(f: SparseSum, g: SparseSum) -> SparseSum:
     """The S-polynomial: both leading terms scaled onto their lcm and cancelled."""
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("S-polynomial of the zero polynomial")
-    ring = f.family.ring
-    (lmf, lcf), (lmg, lcg) = _lead(f), _lead(g)
+    f, g = _monic(f), _monic(g)
+    lmf, lmg = _lead(f)[0], _lead(g)[0]
     lcm = _mono_lcm(lmf, lmg)
-    inv_f, inv_g = ring.try_invert(lcf), ring.try_invert(lcg)
-    if inv_f is None or inv_g is None:
-        raise NonInvertibleLeadError("S-polynomial needs invertible leading coefficients")
-    return _scaled_shift(f, _mono_sub(lcm, lmf), inv_f) - _scaled_shift(
-        g, _mono_sub(lcm, lmg), inv_g
-    )
+    one = f.family.ring.one
+    return _scaled_shift(f, _mono_sub(lcm, lmf), one) - _scaled_shift(g, _mono_sub(lcm, lmg), one)
 
 
 def is_groebner(basis: RewriteBasis) -> bool:
@@ -235,7 +236,6 @@ def complete_to_groebner(basis: RewriteBasis, bound: int = 8) -> RewriteBasis:
                 f"generator of degree {_total_degree(g)} exceeds bound {bound}"
             )
     gens = list(basis.gens)
-    ring = basis.ring
     pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
     while pairs:
         i, j = pairs.pop(0)
@@ -247,10 +247,7 @@ def complete_to_groebner(basis: RewriteBasis, bound: int = 8) -> RewriteBasis:
             raise DegreeBoundExceededError(
                 f"completion reached degree {_total_degree(r)}, bound is {bound}"
             )
-        lc = _lead(r)[1]
-        if lc != ring.one:
-            r = _scaled_shift(r, (0,) * basis.arity, ring.try_invert(lc))
-        gens.append(r)
+        gens.append(_monic(r))
         pairs.extend((k, len(gens) - 1) for k in range(len(gens) - 1))
     return RewriteBasis(basis.ring, basis.arity, FIELD, tuple(gens))
 
@@ -353,33 +350,16 @@ def normal_monomials(basis: RewriteBasis, degree_map, up_to: int) -> dict:
     if basis.mode == FIELD and not is_groebner(basis):
         raise NotConfluentError("normal forms are only unique for a Groebner basis")
 
-    if basis.mode == FIELD:
-        leads = [_lead(g)[0] for g in basis.gens]
-        order = basis.ring.characteristic
-
-        def classify(m):
-            if any(_divides(lm, m) for lm in leads):
-                return None
-            return order
-
-    else:
-        rules = [g.terms[0] for g in basis.gens]
-
-        def classify(m):
-            g = 0
-            for gm, gc in rules:
-                if _divides(gm, m):
-                    g = math.gcd(g, gc)
-            if g == 1:
-                return None
-            return g
+    def order_at(m):
+        """The coefficient order kept at m, or None when m is killed outright."""
+        if basis.mode == TERM_IDEAL:
+            g = _modulus_at(basis, m)
+            return None if g == 1 else g
+        killed = next(_dividing(basis, m), None) is not None
+        return None if killed else basis.ring.characteristic
 
     stairs = {}
     for d in range(up_to + 1):
-        kept = []
-        for m in _weighted_monomials(tuple(degree_map), d):
-            o = classify(m)
-            if o is not None:
-                kept.append((m, o))
-        stairs[d] = tuple(kept)
+        orders = ((m, order_at(m)) for m in _weighted_monomials(tuple(degree_map), d))
+        stairs[d] = tuple((m, o) for m, o in orders if o is not None)
     return stairs

@@ -17,6 +17,7 @@ The schoolbook convolution in graded.mul_dense stays available as the
 independent reference.
 """
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,9 +35,10 @@ from .dsum import (
 from .errors import (
     ArityMismatchError,
     IndexMismatchError,
+    NumberTooLargeError,
     ZeroPolynomialError,
 )
-from .rings import IntegerRing, ModularRing, Ring
+from .rings import IntegerRing, ModularRing, Ring, check_printable, printable_bits
 
 # ---------------------------------------------------------------- construction
 
@@ -245,13 +247,33 @@ def uni_eval(p, x: int) -> int:
     raise TypeError(f"not a univariate polynomial: {p!r}")
 
 
+def _ceil_log2(n: int) -> int:
+    """ceil(log2 |n|), and 0 for |n| <= 1."""
+    return max(abs(n) - 1, 0).bit_length()
+
+
 def multi_eval(p: SparseSum, xs) -> int:
-    """Evaluate a multivariate polynomial at the point vector xs."""
+    """Evaluate a multivariate polynomial at the point vector xs.
+
+    Over the integers a value whose largest term passes the digit limit of
+    int/str conversion is refused before it is computed (NumberTooLargeError).
+    """
     if not isinstance(p.monoid, ExpIndex):
         raise TypeError("multi_eval expects an exponent-vector polynomial")
     if len(xs) != p.monoid.arity:
         raise ArityMismatchError(f"{p.monoid.arity} variables, {len(xs)} values")
     ring = p.family.ring
+    budget = printable_bits()
+    if isinstance(ring, IntegerRing) and p.terms and budget:
+        # sum |c| * prod |x|^e <= 2**bits, and ceil(log2 n) <= 1.3 * log2 n for
+        # n >= 2: past twice the budget, the largest term alone is past it
+        logs = [_ceil_log2(x) for x in xs]
+        bits = _ceil_log2(len(p.terms)) + max(
+            _ceil_log2(c) + sum(e * lx for e, lx in zip(exps, logs)) for exps, c in p.terms
+        )
+        if bits > 2 * budget:
+            limit = sys.get_int_max_str_digits()
+            raise NumberTooLargeError(f"the value's largest term runs past {limit} digits")
     acc = ring.zero
     for exps, c in p.terms:
         term = c
@@ -309,6 +331,9 @@ def default_names(arity: int) -> tuple:
 
 
 def _term_body(c_abs: int, factors: list) -> str:
+    check_printable(c_abs)
+    for _, e in factors:
+        check_printable(e)
     parts = [name if e == 1 else f"{name}^{e}" for name, e in factors]
     if not parts:
         return str(c_abs)

@@ -6,10 +6,11 @@ and the canonical representative convention: modular elements live in
 method is normalized first, so callers may pass any int.
 """
 
+import sys
 from dataclasses import dataclass
 
 from . import instrument
-from .errors import InvalidModulusError
+from .errors import InvalidModulusError, NumberTooLargeError
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,30 @@ def ring_make(d: RingDescriptor) -> Ring:
     raise InvalidModulusError(f"unknown ring kind {d.kind!r}")
 
 
+# ----------------------------------------------------------------- number size
+# int <-> str conversion stops at sys.get_int_max_str_digits() decimal digits
+# (0: no limit); these checks refuse such numbers with a domain error first.
+
+
+def printable_bits() -> int:
+    """Bits that every number within the digit limit fits in (0: no limit)."""
+    return sys.get_int_max_str_digits() * 3321928 // 1000000  # 3.321928 <= log2(10)
+
+
+def check_digits(count: int, what: str) -> None:
+    """Refuse a numeral of `count` digits that int() would not read."""
+    limit = sys.get_int_max_str_digits()
+    if limit and count > limit:
+        raise NumberTooLargeError(f"{what} has {count} digits; int/str conversion stops at {limit}")
+
+
+def check_printable(n: int) -> None:
+    """Refuse an integer that str() would not print."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n.bit_length() > printable_bits() and abs(n) >= 10**limit:
+        raise NumberTooLargeError(f"a number runs past {limit} digits, where int/str conversion stops")
+
+
 def parse_ring(text: str) -> Ring:
     """Accepts "Z", "Zn", and "Z/n" (n >= 2)."""
     t = text.strip()
@@ -182,6 +207,7 @@ def parse_ring(text: str) -> Ring:
         body = t[2:]
     elif t.startswith("Z"):
         body = t[1:]
-    if body and body.isdigit():
+    if body and body.isdecimal():
+        check_digits(len(body), "the modulus")
         return ModularRing(int(body))
     raise InvalidModulusError(f"cannot read ring {text!r}; expected Z, Zn, or Z/n")

@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -262,6 +264,70 @@ def test_domain_errors_exit_1():
     assert run_command(["reduce", "X", "--ideal", "X", "--vars", "X"])[0] == 1
 
 
+def test_reduce_applies_the_gcd_of_the_dividing_moduli():
+    ideal = ["--ideal", "(4*X, 6*X)", "--vars", "X"]
+    assert run_command(["reduce", "2*X"] + ideal) == (0, "0")
+    assert run_command(["reduce"] + ideal + ["--", "-X"]) == (0, "X")
+
+
+DEEP = "(" * 3000 + "X" + ")" * 3000
+
+
+def test_deep_nesting_is_a_parse_error():
+    code, text = run_command(["normalize", DEEP, "--vars", "X"])
+    assert code == 1
+    assert text == "error: parentheses nested deeper than 100 (at position 100)"
+    assert run_command(["normalize", "(" * 100 + "X" + ")" * 100, "--vars", "X"]) == (0, "X")
+
+
+def _refused_as_too_large(argv):
+    code, text = run_command(argv)
+    assert code == 1
+    assert "digits" in text and text.startswith("error: ")
+
+
+def test_huge_power_value_is_refused():
+    _refused_as_too_large(["eval", "X^300000", "3", "--vars", "X"])
+
+
+def test_hopeless_power_is_refused_before_it_is_computed():
+    start = time.perf_counter()
+    _refused_as_too_large(["eval", "X^100000000", "3", "--vars", "X"])
+    assert time.perf_counter() - start < 1
+    # |x| <= 1 adds nothing to the size bound
+    for x in ("1", "0", "-1"):
+        assert run_command(["eval", "X^100000000", x, "--vars", "X"])[0] == 0
+
+
+def test_eval_prints_up_to_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    e = (10**limit).bit_length() - 1  # the largest power of 2 with `limit` digits
+    code, text = run_command(["eval", f"X^{e}", "2", "--vars", "X"])
+    assert (code, len(text)) == (0, limit)
+    _refused_as_too_large(["eval", f"X^{e + 1}", "2", "--vars", "X"])
+
+
+def test_huge_literal_is_refused():
+    _refused_as_too_large(["normalize", "9" * 5000, "--vars", "X"])
+
+
+def test_unprintable_product_is_refused():
+    _refused_as_too_large(["mul", "9" * 3000, "9" * 3000, "--vars", "X"])
+    power = "X^5" + "0" * (sys.get_int_max_str_digits() - 1)  # squared: one digit more
+    _refused_as_too_large(["mul", power, power, "--vars", "X"])
+
+
+def test_huge_modulus_and_sphere_dimension_are_refused():
+    _refused_as_too_large(["normalize", "X", "--ring", "Z/" + "7" * 5000, "--vars", "X"])
+    _refused_as_too_large(["cohomology-group", "S" + "7" * 5000, "1"])
+
+
+def test_non_decimal_digits_are_domain_errors():
+    assert run_command(["normalize", "X^\u00b2", "--vars", "X"])[0] == 1
+    assert run_command(["normalize", "X", "--ring", "Z\u00b2", "--vars", "X"])[0] == 1
+    assert run_command(["cohomology-group", "S\u00b2", "1"])[0] == 1
+
+
 def test_help_exits_0():
     code, text = run_command(["--help"])
     assert code == 0
@@ -304,6 +370,14 @@ _TOKENS = st.sampled_from(
         "Z/0",
         "K2",
         "",
+        "mul",
+        "3",
+        DEEP,
+        "X^300000",
+        "X^100000000",
+        "9" * 3000,
+        "9" * 5000,
+        "X^\u00b2",
     ]
 )
 

@@ -240,6 +240,16 @@ def test_presented_ring_refuses_products_of_unknown_generators():
             coh.presented_ring(groups, {pair: ()})
 
 
+def test_presented_ring_refuses_a_unit_product_against_the_unit_law():
+    groups = {0: ((0,), ("eta",)), 1: ((0,), ("alpha",))}
+    with pytest.raises(AlgebraError, match="unit law"):
+        coh.presented_ring(groups, {("eta", "alpha"): (5,)})
+    with pytest.raises(AlgebraError, match="unit law"):
+        coh.presented_ring(groups, {("alpha", "eta"): (0,)})
+    agreeing = coh.presented_ring(groups, {("eta", "alpha"): (1,)})
+    assert agreeing == coh.presented_ring(groups, {})
+
+
 def test_iso_search_bails_out_on_a_huge_space():
     wide = coh.presented_ring(
         {0: ((2,), ("e",)), 1: ((2,) * 5, tuple(f"g{i}" for i in range(5)))},

@@ -248,3 +248,48 @@ def test_term_ideal_reduce_idempotent(p):
     b = torsion_term_basis()
     r = ideal.reduce(p, b)
     assert ideal.reduce(r, b) == r
+
+
+@st.composite
+def term_ideal_and_polys(draw):
+    # moduli 1..12 share factors, so a monomial under several generators
+    # keeps only the multiples of their gcd, not of any single modulus
+    arity = draw(st.integers(2, 4))
+    monos = st.tuples(*([st.integers(0, 2)] * arity))
+    gens = draw(st.lists(st.tuples(monos, st.integers(1, 12)), min_size=1, max_size=5))
+    basis = ideal.make_basis([mp(Z, arity, {m: c}) for m, c in gens])
+    polys = multi_polys(Z, arity, max_exp=3)
+    return basis, draw(polys), draw(polys)
+
+
+@given(term_ideal_and_polys())
+def test_term_ideal_reduce_agrees_with_the_staircase(case):
+    basis, p, q = case
+    r = ideal.reduce(p, basis)
+    assert ideal.reduce(r, basis) == r
+    assert ideal.reduce(p + q, basis) == ideal.reduce(r + ideal.reduce(q, basis), basis)
+    top = max((sum(m) for m, _ in r.terms), default=0)
+    stairs = ideal.normal_monomials(basis, (1,) * basis.arity, top)
+    orders = {m: order for kept in stairs.values() for m, order in kept}
+    for m, c in r.terms:
+        assert m in orders  # no term on a monomial the staircase kills
+        if orders[m]:
+            assert 0 <= c < orders[m]
+
+
+def test_term_ideal_reduces_modulo_the_gcd_of_the_dividing_moduli():
+    b = ideal.make_basis([mp(Z, 1, {(1,): 4}), mp(Z, 1, {(1,): 6})])
+    assert ideal.reduce(mp(Z, 1, {(1,): 2}), b).is_zero()
+    assert ideal.reduce(mp(Z, 1, {(1,): -1}), b) == mp(Z, 1, {(1,): 1})
+    assert ideal.normal_monomials(b, (1,), 1)[1] == (((1,), 2),)
+
+
+def test_completion_refuses_a_non_unit_lead():
+    # over Z/4 an S-polynomial remainder reaches leading coefficient 2
+    gens = [
+        mp(Z4, 2, {(1, 2): 1, (2, 1): 1}),
+        mp(Z4, 2, {(1, 0): 1, (0, 2): 2, (1, 2): 3}),
+    ]
+    b = ideal.make_basis(gens, mode=ideal.FIELD)
+    with pytest.raises(NonInvertibleLeadError):
+        ideal.complete_to_groebner(b)
