@@ -25,7 +25,7 @@ from .cohomology import (
 from .errors import AlgebraError, ConfigError
 from .ideal import complete_to_groebner, is_groebner, make_basis
 from .ideal import reduce as reduce_to_normal
-from .rings import check_printable, parse_ring
+from .rings import check_digits, check_printable, parse_ring
 
 
 def _poly_setup(args):
@@ -58,13 +58,19 @@ def _handle_mul(args):
     return text, text, {}
 
 
+def _integer(text: str) -> int:
+    """One eval value; refused before int() when it has too many digits."""
+    check_digits(sum(ch.isdecimal() for ch in text), "a value")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"values must be integers, got {text!r}") from None
+
+
 def _handle_eval(args):
     ring, names = _poly_setup(args)
     p = expr.parse(args.expr, ring, names)
-    try:
-        point = [int(v) for v in args.values]
-    except ValueError:
-        raise ConfigError(f"values must be integers, got {args.values}") from None
+    point = [_integer(v) for v in args.values]
     if len(point) != len(names):
         raise ConfigError(f"expected {len(names)} values, got {len(point)}")
     value = poly.multi_eval(p, point)

@@ -13,8 +13,12 @@ moves between the univariate forms without changing the polynomial.
 Dense multiplication packs coefficients into slots of one big integer and
 lets the interpreter's native multiplication do the convolution (Kronecker
 substitution), which keeps products of degree ~10^4 well under a second.
-The schoolbook convolution in graded.mul_dense stays available as the
-independent reference.
+There is one product for every coefficient ring: slots hold signed values
+offset by half their range (balanced decoding, as in Harvey 2009), so
+integer coefficients of either sign need no sign split, and over Z/n the
+only extra step is reducing the result mod n. UniNormal is a canonical view
+over the same dense arithmetic. The schoolbook convolution in
+graded.mul_dense stays available as the independent reference.
 """
 
 import sys
@@ -79,17 +83,21 @@ def constant(ring: Ring, arity: int, c: int) -> SparseSum:
 
 @dataclass(frozen=True)
 class UniNormal:
-    """Univariate coefficients with the invariant: empty, or last entry nonzero."""
+    """Univariate coefficients with the invariant: empty, or last entry nonzero.
+
+    A canonical view over DenseSeq: arithmetic runs on dense() and the result
+    is stripped again by normalize_dense.
+    """
 
     ring: Ring
     coeffs: tuple
 
     @staticmethod
     def make(ring: Ring, coeffs: Iterable) -> "UniNormal":
-        out = [ring.normalize(c) for c in coeffs]
-        while out and out[-1] == 0:
-            out.pop()
-        return UniNormal(ring, tuple(out))
+        return normalize_dense(uni_dense(ring, coeffs))
+
+    def dense(self) -> DenseSeq:
+        return DenseSeq(ConstantFamily(self.ring), self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -102,36 +110,26 @@ class UniNormal:
     def __add__(self, other: "UniNormal") -> "UniNormal":
         if not isinstance(other, UniNormal):
             return NotImplemented
-        if self.ring != other.ring:
-            raise IndexMismatchError("operands over different rings")
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = self.ring.add(out[i], c)
-        return UniNormal.make(self.ring, out)
+        return normalize_dense(self.dense() + other.dense())
 
     def __neg__(self) -> "UniNormal":
-        return UniNormal(self.ring, tuple(self.ring.neg(c) for c in self.coeffs))
+        return normalize_dense(-self.dense())
 
     def __sub__(self, other: "UniNormal") -> "UniNormal":
         if not isinstance(other, UniNormal):
             return NotImplemented
-        return self + (-other)
+        return normalize_dense(self.dense() - other.dense())
 
     def __mul__(self, other: "UniNormal") -> "UniNormal":
         if not isinstance(other, UniNormal):
             return NotImplemented
-        if self.ring != other.ring:
-            raise IndexMismatchError("operands over different rings")
-        return UniNormal.make(self.ring, _dense_mul_coeffs(self.ring, self.coeffs, other.coeffs))
+        return normalize_dense(mul(self.dense(), other.dense()))
 
 
 def normalize_dense(f) -> UniNormal:
     """Strip trailing zeros from a dense polynomial."""
     if isinstance(f, DenseSeq):
-        return UniNormal.make(f.family.ring, f.coeffs)
+        return UniNormal(f.family.ring, f.stripped())
     raise TypeError("normalize_dense expects a DenseSeq")
 
 
@@ -151,51 +149,29 @@ def degree_and_lead(p) -> tuple:
 # ------------------------------------------------------------- multiplication
 
 
-def _pack(coeffs, slot_bytes: int) -> int:
-    buf = b"".join(c.to_bytes(slot_bytes, "little") for c in coeffs)
-    return int.from_bytes(buf, "little")
-
-
-def _convolve_nonneg(a, b, slot_bytes: int) -> list:
-    """Exact convolution of nonnegative sequences via one integer product.
-
-    slot_bytes must accommodate the largest convolution sum, so slots
-    cannot carry into each other.
-    """
-    out_len = len(a) + len(b) - 1
-    prod = _pack(a, slot_bytes) * _pack(b, slot_bytes)
-    raw = prod.to_bytes(slot_bytes * (len(a) + len(b)), "little")
-    return [
-        int.from_bytes(raw[k * slot_bytes : (k + 1) * slot_bytes], "little")
-        for k in range(out_len)
-    ]
-
-
-def _slot_bytes_for(bound: int) -> int:
-    return max(1, (bound.bit_length() + 7) // 8)
-
-
 def _dense_mul_coeffs(ring: Ring, a: tuple, b: tuple) -> list:
+    """Convolution of a and b through one signed Kronecker product.
+
+    Slots are sb bytes wide and every coefficient and convolution sum lies
+    strictly inside (-half, half), so once the all-half offsets are added
+    back each slot reads unsigned without a borrow from its neighbour.
+    """
     if not a or not b:
         return []
-    instrument.bump("dense_positions", len(a) + len(b) - 1)
-    width = min(len(a), len(b))
-    if isinstance(ring, ModularRing):
-        bound = width * (ring.n - 1) * (ring.n - 1)
-        sb = _slot_bytes_for(bound)
-        return [c % ring.n for c in _convolve_nonneg(a, b, sb)]
-    # over the integers, split by sign: (a+ - a-)(b+ - b-)
-    ap = [c if c > 0 else 0 for c in a]
-    an = [-c if c < 0 else 0 for c in a]
-    bp = [c if c > 0 else 0 for c in b]
-    bn = [-c if c < 0 else 0 for c in b]
-    big = max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) * width
-    sb = _slot_bytes_for(big)
-    pp = _convolve_nonneg(ap, bp, sb)
-    nn = _convolve_nonneg(an, bn, sb)
-    pn = _convolve_nonneg(ap, bn, sb)
-    np_ = _convolve_nonneg(an, bp, sb)
-    return [pp[k] + nn[k] - pn[k] - np_[k] for k in range(len(pp))]
+    out_len = len(a) + len(b) - 1
+    instrument.bump("dense_positions", out_len)
+    bound = max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) * min(len(a), len(b))
+    sb = bound.bit_length() // 8 + 1  # the least sb with bound < half
+    half = 1 << (8 * sb - 1)
+    offsets = lambda n: int.from_bytes(half.to_bytes(sb, "little") * n, "little")
+
+    def pack(cs) -> int:
+        buf = b"".join((c + half).to_bytes(sb, "little") for c in cs)
+        return int.from_bytes(buf, "little") - offsets(len(cs))
+
+    raw = (pack(a) * pack(b) + offsets(out_len)).to_bytes(sb * out_len, "little")
+    out = [int.from_bytes(raw[k * sb : (k + 1) * sb], "little") - half for k in range(out_len)]
+    return [c % ring.n for c in out] if isinstance(ring, ModularRing) else out
 
 
 def mul(p, q):
@@ -298,7 +274,7 @@ def convert(p, target: str):
     elif isinstance(p, DenseSeq):
         dense = p
     elif isinstance(p, UniNormal):
-        dense = DenseSeq(ConstantFamily(p.ring), p.coeffs)
+        dense = p.dense()
     else:
         raise TypeError(f"not a univariate polynomial: {p!r}")
     if target == "dense":

@@ -307,6 +307,12 @@ def test_eval_prints_up_to_the_digit_limit():
     _refused_as_too_large(["eval", f"X^{e + 1}", "2", "--vars", "X"])
 
 
+def test_huge_eval_value_is_refused_in_a_short_message():
+    code, text = run_command(["eval", "X", "9" * 5000, "--vars", "X"])
+    assert code == 1
+    assert str(sys.get_int_max_str_digits()) in text and len(text) < 200
+
+
 def test_huge_literal_is_refused():
     _refused_as_too_large(["normalize", "9" * 5000, "--vars", "X"])
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from cohomring import graded, poly
 from cohomring.dsum import NAT, ConstantFamily, DenseSeq, to_dense
-from cohomring.errors import ArityMismatchError, ZeroPolynomialError
+from cohomring.errors import ArityMismatchError, IndexMismatchError, ZeroPolynomialError
 from cohomring.rings import IntegerRing, ModularRing
 
 from conftest import (
@@ -83,7 +83,7 @@ def test_sparse_product_hand_value():
 def test_dense_product_hand_values():
     assert poly.mul(poly.uni_dense(Z, [1, 1]), poly.uni_dense(Z, [1, 1])).coeffs == (1, 2, 1)
     assert poly.mul(poly.uni_dense(Z2, [0, 1]), poly.uni_dense(Z2, [0, 1])).coeffs == (0, 0, 1)
-    # signed coefficients exercise the sign-split path
+    # signed coefficients exercise the offset (balanced) slots
     assert poly.mul(poly.uni_dense(Z, [-1, 1]), poly.uni_dense(Z, [1, 1])).coeffs == (-1, 0, 1)
     assert poly.mul(poly.uni_dense(Z, [-2, -3]), poly.uni_dense(Z, [-4, 5])).coeffs == (8, 2, -15)
 
@@ -171,3 +171,51 @@ def test_render_multivariate():
 
 def test_render_dense():
     assert poly.render_dense(poly.uni_dense(Z, [1, 0, 2, 5])) == "[1, 0, 2, 5]"
+
+
+def _convolution(f, g):
+    return graded.mul_dense(f, g, graded.coefficient_mul(NAT, f.family.ring))
+
+
+# coefficients up to 2^70, plus each k-byte slot's sign bit 2^(8k-1) (either sign) and top 2^(8k)-1
+slot_edges = st.integers(1, 9).flatmap(
+    lambda k: st.sampled_from([2 ** (8 * k - 1), -(2 ** (8 * k - 1)), 2 ** (8 * k) - 1])
+)
+wide_coeffs = st.one_of(st.integers(-(2**70), 2**70), slot_edges)
+wide_rings = st.sampled_from([Z, ModularRing(256), ModularRing(2**61 - 1)])
+
+
+def wide_dense_polys(ring):
+    return st.lists(wide_coeffs, min_size=1, max_size=40).map(lambda cs: poly.uni_dense(ring, cs))
+
+
+@given(wide_rings.flatmap(lambda r: st.tuples(wide_dense_polys(r), wide_dense_polys(r))))
+def test_dense_product_at_slot_edges_matches_convolution(pair):
+    f, g = pair
+    assert poly.mul(f, g).coeffs == _convolution(f, g).coeffs
+
+
+@pytest.mark.parametrize(
+    "m, c", [(1, 127), (1, -127), (2, 64), (2, -64), (15, 17), (4, 64), (2, 2**63), (2, -(2**63))]
+)
+def test_dense_product_sum_lands_on_the_bound(m, c):
+    # the middle of (1 + ... + X^(m-1)) * c(1 + ... + X^(m-1)) is m*c: 127, 128, 255, 256, 2^64
+    f, g = poly.uni_dense(Z, [1] * m), poly.uni_dense(Z, [c] * m)
+    out = poly.mul(f, g).coeffs
+    assert out == _convolution(f, g).coeffs
+    assert out[m - 1] == m * c
+
+
+def test_dense_product_with_a_zero_operand():
+    zero, big = poly.uni_dense(Z, [0]), poly.uni_dense(Z, [10**30])
+    assert poly.mul(zero, big).coeffs == (0,)
+    assert poly.mul(big, zero).coeffs == (0,)
+
+
+def test_uni_normal_arithmetic_with_mixed_signs():
+    one_minus_x = poly.UniNormal.make(Z, [1, -1])
+    assert (one_minus_x * poly.UniNormal.make(Z, [1, 1])).coeffs == (1, 0, -1)
+    total = poly.UniNormal.make(Z, [2, 0, -1]) + poly.UniNormal.make(Z, [-5, 1, 1])
+    assert total.coeffs == (-3, 1)
+    with pytest.raises(IndexMismatchError):
+        one_minus_x + poly.UniNormal.make(Z2, [1])
