@@ -4,7 +4,7 @@ space comparisons.
 For each space/coefficient pair this shows the quotient presentation, the
 groups per degree, the bidegrees with vanishing cup products, and whether
 the translation between the quotient and the structure-constant form
-verifies as a graded ring isomorphism.
+verifies as a graded ring isomorphism, with the time the checks took.
 
 Usage: python3 scripts/catalog_report.py [--samples 500]
 """
@@ -36,7 +36,12 @@ def main():
         print(f"  nonzero cups: {nontrivial if nontrivial else 'none in positive degrees'}")
         report = coh.verify_entry(entry, samples=args.samples)
         status = "ok" if report.passed else f"FAILED ({report.counterexample})"
-        print(f"  verification: {status}, {len(report.checks)} checks")
+        total = sum(t for _, t in report.seconds)
+        slowest, slowest_t = max(report.seconds, key=lambda item: item[1])
+        print(
+            f"  verification: {status}, {len(report.checks)} checks, {total:.2f} s"
+            f" (slowest {slowest} {slowest_t:.2f} s)"
+        )
         print()
 
     print("comparisons")

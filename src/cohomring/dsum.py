@@ -197,7 +197,11 @@ class SparseSum:
 
 @dataclass(frozen=True, eq=False)
 class DenseSeq:
-    """Coefficients at positions 0..len-1; equality ignores trailing zeros."""
+    """Coefficients at positions 0..len-1; equality ignores trailing zeros.
+
+    The constructor takes coefficients already reduced in their family and
+    does not check them; poly.uni_dense is the reducing constructor.
+    """
 
     family: CoeffFamily
     coeffs: tuple

@@ -127,9 +127,10 @@ class UniNormal:
 
 
 def normalize_dense(f) -> UniNormal:
-    """Strip trailing zeros from a dense polynomial."""
+    """Reduce each coefficient in its ring and strip trailing zeros."""
     if isinstance(f, DenseSeq):
-        return UniNormal(f.family.ring, f.stripped())
+        ring = f.family.ring
+        return UniNormal(ring, uni_dense(ring, f.coeffs).stripped())
     raise TypeError("normalize_dense expects a DenseSeq")
 
 

@@ -1,7 +1,10 @@
+import dataclasses
+import random
+
 import pytest
 
 from cohomring import cohomology as coh
-from cohomring import ideal, poly
+from cohomring import graded, ideal, poly
 from cohomring.errors import (
     AlgebraError,
     NotFiniteError,
@@ -175,6 +178,114 @@ def test_to_quotient_builds_the_generator_table_once(monkeypatch):
         g = coh.generator_elem(entry.presented, d, i)
         assert entry.from_quotient(entry.to_quotient(g)) == g
     assert len(calls) == 1
+
+
+def _reference_image(entry, p):
+    """Sum over p's terms of c times repeated cups of the variables' generators."""
+    pring = entry.presented
+    variables = []
+    for d, coords in entry.var_images:
+        assert sorted(coords) == [0] * (len(coords) - 1) + [1]
+        variables.append(coh.generator_elem(pring, d, coords.index(1)))
+    total = coh.elem(pring, {})
+    for exps, c in p.terms:
+        img = coh.unit_elem(pring)
+        for var, e in zip(variables, exps):
+            for _ in range(e):
+                img = coh.cup(img, var)
+        total = total + coh.elem(pring, {d: [c * v for v in coords] for d, coords in img.terms})
+    return total
+
+
+def test_image_of_poly_matches_repeated_cups_on_every_entry():
+    rng = random.Random(11)
+    for entry in coh.catalog_entries():
+        arity = len(entry.variables)
+        above_top = 0
+        for _ in range(25):
+            terms = {
+                tuple(rng.randint(0, 6) for _ in range(arity)): rng.choice((-1, 1)) * rng.randint(1, 9)
+                for _ in range(rng.randint(1, 6))
+            }
+            above_top += any(
+                sum(e * d for e, d in zip(exps, entry.var_degrees)) > entry.presented.max_degree
+                for exps in terms
+            )
+            p = poly.multi(entry.ring, arity, terms)
+            want = _reference_image(entry, p)
+            assert entry.image_of_poly(p) == want, (entry.label(), terms)
+            assert entry.image_of_poly(p) == want  # again, from the kept images
+        assert above_top > 0
+
+
+def _count_mul_sparse(monkeypatch):
+    calls = []
+    original = graded.mul_sparse
+
+    def counted(a, b, m):
+        calls.append(1)
+        return original(a, b, m)
+
+    monkeypatch.setattr(graded, "mul_sparse", counted)
+    return calls
+
+
+def test_image_of_poly_multiplies_once_per_monomial_prefix(monkeypatch):
+    calls = _count_mul_sparse(monkeypatch)
+    entry = coh.catalog_get(CP2, Z)
+    alpha = coh.generator_elem(entry.presented, 2, 0)
+    beta = coh.generator_elem(entry.presented, 4, 0)
+    power = lambda k: poly.multi(Z, 1, {(k,): 1})
+    assert entry.image_of_poly(power(3)).is_zero()  # degree 6, above the top
+    assert calls == []
+    assert entry.image_of_poly(power(1)) == alpha  # 1 -> X
+    assert len(calls) == 1
+    assert entry.image_of_poly(power(2)) == beta  # X is kept, so only X -> X^2
+    assert len(calls) == 2
+    assert entry.image_of_poly(power(3)).is_zero()
+    assert entry.image_of_poly(power(2)) == beta
+    assert entry.image_of_poly(power(1) + power(2)) == alpha + beta
+    assert len(calls) == 2
+
+
+def test_kept_monomial_images_belong_to_one_entry():
+    good = coh.catalog_get(KLEIN, Z2)
+    assert coh.verify_entry(good, samples=20, seed=3).passed
+    bad_ring = coh.presented_ring(
+        {0: ((2,), ("eta",)), 1: ((2, 2), ("alpha", "beta")), 2: ((2,), ("gamma",))},
+        {
+            ("alpha", "alpha"): (1,),
+            ("alpha", "beta"): (0,),  # should be gamma
+            ("beta", "alpha"): (1,),
+            ("beta", "beta"): (0,),
+        },
+    )
+    swapped = (good.var_images[1], good.var_images[0])
+    for bad in (
+        dataclasses.replace(good, presented=bad_ring),
+        dataclasses.replace(good, var_images=swapped),
+    ):
+        report = coh.verify_entry(bad, samples=20, seed=3)
+        assert not report.passed
+        assert report.counterexample is not None
+    assert coh.verify_entry(good, samples=20, seed=3).passed
+
+
+def test_image_of_a_huge_power_is_zero_without_work(monkeypatch):
+    calls = _count_mul_sparse(monkeypatch)
+    entry = coh.catalog_get(SPHERE2, Z)
+    assert entry.image_of_poly(poly.multi(Z, 1, {(10**9,): 1})).is_zero()
+    assert calls == []
+    assert entry.image_of_poly(poly.multi(Z, 1, {(1,): 3})) == coh.elem(entry.presented, {2: (3,)})
+    top = entry.presented.max_degree
+    for exps in entry._monomial_images:
+        assert sum(e * d for e, d in zip(exps, entry.var_degrees)) <= top
+
+
+def test_verify_entry_reports_the_time_of_each_check():
+    report = coh.verify_entry(coh.catalog_get(CP2, Z), samples=20, seed=3)
+    assert [name for name, _ in report.seconds] == [name for name, _, _ in report.checks]
+    assert all(isinstance(t, float) and t >= 0 for _, t in report.seconds)
 
 
 def test_verify_entry_passes_for_every_catalog_entry():

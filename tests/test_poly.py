@@ -58,6 +58,13 @@ def test_normalize_dense_strips_trailing_zeros():
     assert poly.normalize_dense(poly.uni_dense(Z2, [1, 2])).coeffs == (1,)
 
 
+def test_normalize_dense_reduces_hand_built_coefficients():
+    z7 = ConstantFamily(ModularRing(7))
+    assert poly.normalize_dense(DenseSeq(z7, (8,))).coeffs == (1,)
+    assert poly.normalize_dense(DenseSeq(z7, (7,))).coeffs == ()
+    assert poly.normalize_dense(DenseSeq(z7, (8,))) == poly.UniNormal.make(ModularRing(7), [1])
+
+
 def test_degree_and_lead():
     assert poly.degree_and_lead(poly.uni_dense(Z, [1, 0, 2, 5])) == (3, 5)
     assert poly.degree_and_lead(poly.uni_sparse(Z, [(7, -2)])) == (7, -2)

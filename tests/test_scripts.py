@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,3 +16,15 @@ def test_catalog_report_verifies_every_entry():
     statuses = [line.strip() for line in done.stdout.splitlines() if "verification:" in line]
     assert len(statuses) == 9
     assert all(s.startswith("verification: ok,") for s in statuses), statuses
+
+
+def test_catalog_report_prints_what_verification_cost():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "catalog_report.py"), "--samples", "5"],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    timed = re.compile(r"verification: ok, 6 checks, \d+\.\d\d s \(slowest [a-z-]+ \d+\.\d\d s\)$")
+    statuses = [line.strip() for line in done.stdout.splitlines() if "verification:" in line]
+    assert len(statuses) == 9
+    assert all(timed.match(s) for s in statuses), statuses
