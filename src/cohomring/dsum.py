@@ -6,8 +6,10 @@ finite run of coefficients indexed 0..len-1 and treats trailing zeros as
 absent. Indices come from a commutative monoid: the naturals under addition
 (polynomial degrees) or fixed-length exponent vectors under componentwise
 addition (multivariate monomials). Coefficients come from a family that may
-assign a different abelian group to every index; the common case of a single
-ring throughout is ConstantFamily.
+assign a different abelian group to every index. The common case of a single
+ring throughout is ConstantFamily; the other kind is a presented cohomology
+ring (cohomology.PresentedGradedRing), whose coefficient at degree n is a
+coordinate tuple in that degree's finitely generated abelian group.
 """
 
 from dataclasses import dataclass

@@ -2,9 +2,12 @@
 
 Grammar, whitespace-insensitive:
 
+    ideal   := "(" expr ("," expr)* ")"
     expr    := ("-")? term (("+" | "-") term)*
     term    := integer ("*" factor)* | factor ("*" factor)*
     factor  := var ("^" nat)? | "(" expr ")"
+
+parse reads one expr, parse_ideal one ideal; either must use the whole text.
 
 Multiplication is always explicit ("2*X", never "2X") and integers only open
 a term. The optional leading minus exists so that everything render emits
@@ -21,7 +24,7 @@ _PUNCT = "+-*^(),"
 MAX_NESTING = 100
 
 
-def _tokenize(text: str, base: int = 0) -> list:
+def _tokenize(text: str) -> list:
     out = []
     i = 0
     while i < len(text):
@@ -32,21 +35,21 @@ def _tokenize(text: str, base: int = 0) -> list:
             j = i
             while j < len(text) and text[j].isdecimal():
                 j += 1
-            check_digits(j - i, f"the number at position {base + i}")
-            out.append(("int", text[i:j], base + i))
+            check_digits(j - i, f"the number at position {i}")
+            out.append(("int", text[i:j], i))
             i = j
         elif c.isalpha() or c == "_":
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            out.append(("name", text[i:j], base + i))
+            out.append(("name", text[i:j], i))
             i = j
         elif c in _PUNCT:
-            out.append((c, c, base + i))
+            out.append((c, c, i))
             i += 1
         else:
-            raise ParseError(f"unexpected character {c!r}", base + i)
-    out.append(("end", "", base + len(text)))
+            raise ParseError(f"unexpected character {c!r}", i)
+    out.append(("end", "", len(text)))
     return out
 
 
@@ -72,6 +75,16 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError(f"expected {what}", tok[2])
         return self.advance()
+
+    def ideal(self) -> list:
+        # the ideal's own parentheses do not count toward MAX_NESTING
+        self.expect("(", '"(" to open an ideal')
+        gens = [self.expr()]
+        while self.peek()[0] == ",":
+            self.advance()
+            gens.append(self.expr())
+        self.expect(")", '"," or ")"')
+        return gens
 
     def expr(self):
         negate = self.peek()[0] == "-"
@@ -122,9 +135,9 @@ class _Parser:
         raise ParseError("expected a number, variable, or parenthesized expression", pos)
 
 
-def _parse_tokens(tokens: list, ring: Ring, names):
-    parser = _Parser(tokens, ring, names)
-    out = parser.expr()
+def _parse_all(text: str, ring: Ring, names, rule):
+    parser = _Parser(_tokenize(text), ring, names)
+    out = rule(parser)
     tail = parser.peek()
     if tail[0] != "end":
         raise ParseError(f"unexpected {tail[1]!r}", tail[2])
@@ -133,39 +146,13 @@ def _parse_tokens(tokens: list, ring: Ring, names):
 
 def parse(text: str, ring: Ring, names):
     """Parse an expression into a canonical multivariate polynomial."""
-    return _parse_tokens(_tokenize(text), ring, names)
+    return _parse_all(text, ring, names, _Parser.expr)
 
 
 def parse_ideal(text: str, ring: Ring, names) -> list:
     """Parse a parenthesized, comma-separated generator list like "(X^2, X*Y)".
 
     Commas nested inside parentheses belong to the enclosed expression, not
-    the generator list. Error positions refer to the full input text.
+    the generator list.
     """
-    lead = len(text) - len(text.lstrip())
-    stripped = text.strip()
-    if not stripped.startswith("("):
-        raise ParseError('an ideal starts with "("', lead)
-    if not stripped.endswith(")"):
-        raise ParseError('an ideal ends with ")"', lead + len(stripped))
-    open_at = text.index("(")
-    close_at = text.rindex(")")
-    inner = text[open_at + 1 : close_at]
-    pieces = []
-    depth = 0
-    start = 0
-    for k, c in enumerate(inner):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            if depth == 0:
-                raise ParseError("unbalanced parentheses", open_at + 1 + k)
-            depth -= 1
-        elif c == "," and depth == 0:
-            pieces.append((start, inner[start:k]))
-            start = k + 1
-    pieces.append((start, inner[start:]))
-    return [
-        _parse_tokens(_tokenize(piece, base=open_at + 1 + offset), ring, names)
-        for offset, piece in pieces
-    ]
+    return _parse_all(text, ring, names, _Parser.ideal)

@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohomring import cohomology as coh
 from cohomring import graded, ideal, poly
@@ -397,3 +400,142 @@ def test_distinguish_klein_mod_two_by_iso_search():
 def test_distinguish_identical_spaces():
     v = coh.distinguish(KLEIN, KLEIN, Z2)
     assert v.kind == "indistinguishable"
+
+
+# ------------------------------------------- the structure-constant multiply
+
+
+def _form_ring(form):
+    """The mod-2 ring with ranks (1, k, 1) whose degree-1 cup product is the form."""
+    k = len(form)
+    names = tuple(f"a{i}" for i in range(k))
+    products = {(names[i], names[j]): (form[i][j],) for i in range(k) for j in range(k)}
+    return coh.presented_ring(
+        {0: ((2,), ("eta",)), 1: ((2,) * k, names), 2: ((2,), ("top",))}, products
+    )
+
+
+def _brute_cup(pring, n, x, m, y):
+    """x in degree n times y in degree m, summed over every product_coords entry."""
+    acc = [0] * pring.group(n + m).rank
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for t, s in enumerate(pring.product_coords(n, i, m, j)):
+                acc[t] += xi * yj * s
+    return coh.elem(pring, {n + m: acc})
+
+
+def _random_forms(rng, count):
+    for _ in range(count):
+        k = rng.randint(1, 3)
+        yield [[rng.randrange(2) for _ in range(k)] for _ in range(k)]
+
+
+def test_cup_matches_a_sum_over_the_structure_constants():
+    rng = random.Random(5)
+    rings = [e.presented for e in coh.catalog_entries()]
+    rings += [_form_ring(form) for form in _random_forms(rng, 12)]
+    for pring in rings:
+        for n, m in itertools.product(pring.degrees(), repeat=2):
+            for _ in range(3):
+                x = [rng.randint(-9, 9) for _ in range(pring.group(n).rank)]
+                y = [rng.randint(-9, 9) for _ in range(pring.group(m).rank)]
+                got = coh.cup(coh.elem(pring, {n: x}), coh.elem(pring, {m: y}))
+                assert got == _brute_cup(pring, n, x, m, y), (pring, n, x, m, y)
+
+
+def test_cup_is_trivial_matches_the_structure_constants():
+    for entry in coh.catalog_entries():
+        pring = entry.presented
+        for n, m in itertools.product(range(-1, pring.max_degree + 2), repeat=2):
+            want = all(
+                not any(pring.product_coords(n, i, m, j))
+                for i in range(pring.group(n).rank)
+                for j in range(pring.group(m).rank)
+            )
+            assert coh.cup_is_trivial(entry, n, m) == want, (entry.label(), n, m)
+
+
+def _f2_rank(rows):
+    """Rank over F2 of a list of 0/1 rows, each row a bit mask."""
+    masks = [sum(bit << t for t, bit in enumerate(r)) for r in rows]
+    rank = 0
+    while masks:
+        pivot = masks.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            masks = [r ^ pivot if r & low else r for r in masks]
+    return rank
+
+
+def _pulled_back(cols, form):
+    """(C^T B C) mod 2 for the columns C and the form B."""
+    k = len(cols)
+    return [
+        [sum(cols[i][s] * form[s][t] * cols[j][t] for s in range(k) for t in range(k)) % 2
+         for j in range(k)]
+        for i in range(k)
+    ]
+
+
+def _congruent(form_a, form_b):
+    k = len(form_a)
+    columns = itertools.product(itertools.product(range(2), repeat=k), repeat=k)
+    return any(
+        _f2_rank(cols) == k and _pulled_back(cols, form_b) == form_a for cols in columns
+    )
+
+
+def _square(k):
+    return st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=k, max_size=k)
+
+
+@st.composite
+def _form_pairs(draw):
+    k = draw(st.integers(1, 3))
+    form_a = draw(_square(k))
+    if draw(st.booleans()):
+        return form_a, draw(_square(k))
+    cols = draw(_square(k).filter(lambda c: _f2_rank(c) == k))
+    return form_a, _pulled_back(cols, form_a)
+
+
+@settings(max_examples=40)
+@given(_form_pairs())
+def test_iso_search_finds_a_map_exactly_for_congruent_forms(pair):
+    form_a, form_b = pair
+    k = len(form_a)
+    phi = coh.find_graded_iso(_form_ring(form_a), _form_ring(form_b))
+    assert (phi is not None) == _congruent(form_a, form_b)
+    if phi is not None:
+        assert phi[0] == ((1,),) and phi[2] == ((1,),)
+        cols = [list(c) for c in phi[1]]
+        assert _f2_rank(cols) == k
+        assert _pulled_back(cols, form_b) == form_a
+
+
+def _malformed_entries():
+    s2 = coh.catalog_get(SPHERE2, Z)
+    cp2 = coh.catalog_get(CP2, Z)
+    k2 = coh.catalog_get(KLEIN, Z2)
+    return [
+        (dataclasses.replace(s2, var_images=((0, (1,)),), var_degrees=(0,)), None),
+        (dataclasses.replace(k2, ring=IntegerRing()), None),
+        (dataclasses.replace(k2, ring=ModularRing(4)), None),
+        (dataclasses.replace(s2, var_images=((2, (1, 5)),)), "expected 1 coordinates"),
+        (dataclasses.replace(cp2, var_images=((2, (1, 7)),)), "expected 1 coordinates"),
+        (dataclasses.replace(k2, var_images=((1, (1,)), (1, (0, 1)))), "expected 2 coordinates"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_verify_entry_reports_a_malformed_entry_without_raising(index):
+    entry, detail = _malformed_entries()[index]
+    report = coh.verify_entry(entry, samples=20, seed=3)
+    assert not report.passed
+    failed = [(name, witness) for name, ok, witness in report.checks if not ok]
+    assert failed and report.counterexample == f"{failed[0][0]}: {failed[0][1]}"
+    assert [name for name, _ in report.seconds] == [name for name, _, _ in report.checks]
+    if detail is not None:
+        assert failed[0] == ("generators-biject-with-monomials", detail)

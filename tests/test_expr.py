@@ -163,3 +163,12 @@ def test_roundtrip_mod7(p):
 @given(multi_polys(Z, arity=1))
 def test_roundtrip_univariate_names(p):
     assert expr.parse(poly.render(p, X), Z, X) == p
+
+
+def test_parse_ideal_refuses_text_after_the_closing_paren():
+    with pytest.raises(ParseError) as caught:
+        expr.parse_ideal("(X) junk", Z, X)
+    assert caught.value.position == 4
+    with pytest.raises(ParseError) as caught:
+        expr.parse_ideal("(X))", Z, X)
+    assert caught.value.position == 3
