@@ -8,9 +8,10 @@ them, and verify_entry checks that the translation really is a graded ring
 isomorphism.
 
 A PresentedGradedRing is its own coefficient family: its elements are sums of
-coordinate tuples indexed by degree, and its term_mul is the one place where
-coordinates are multiplied by structure constants. The cup product, the
-monomial images and the isomorphism search all go through it.
+coordinate tuples indexed by degree, its term_mul is the one place where
+coordinates are multiplied by structure constants, and its one is the unit.
+The cup product, the monomial images and the isomorphism search all go
+through it. Its constructor is the one home of the unit law.
 
 Supported spaces: spheres S^n for any n >= 1, the complex projective plane
 CP2, the wedge S2vS4, the Klein bottle K2, and the wedge RP2vS1; integer
@@ -108,15 +109,19 @@ _ZERO_GROUP = GroupPresentation((), ())
 
 @dataclass(frozen=True)
 class PresentedGradedRing(CoeffFamily):
-    """Per-degree groups plus structure constants for all generator products.
+    """Per-degree groups plus structure constants for generator products.
 
     The ring is the coefficient family of its own elements: the coefficient
     at degree n is a coordinate tuple in group(n), and term_mul multiplies two
-    such tuples through the structure constants.
+    such tuples through the structure constants. A product left out is zero,
+    and a unit product left out is filled in by the unit law; one that
+    disagrees with it is refused. products is then kept as the sorted nonzero
+    structure constants, so two spellings of the same ring compare equal.
     """
 
     groups: tuple  # ((degree, GroupPresentation), ...) ascending
     products: tuple  # (((n, i), (m, j), coords), ...)
+    one = (1,)
 
     def __post_init__(self):
         degs = [d for d, _ in self.groups]
@@ -137,17 +142,21 @@ class PresentedGradedRing(CoeffFamily):
             if target.canon(coords) != coords:
                 raise AlgebraError(f"product coordinates {coords} not canonical at degree {n + m}")
             pdict[((n, i), (m, j))] = coords
-        # the unit must act as identity on every generator
+        # the unit acts as identity on every generator
+        unit = gdict[0].names[0]
         for d, g in self.groups:
-            for i in range(g.rank):
+            for i, name in enumerate(g.names):
                 e_i = tuple(1 if t == i else 0 for t in range(g.rank))
-                if pdict.get(((0, 0), (d, i))) != e_i or pdict.get(((d, i), (0, 0))) != e_i:
-                    raise AlgebraError(f"unit does not fix generator ({d}, {i})")
+                for pair, a, b in ((((0, 0), (d, i)), unit, name), (((d, i), (0, 0)), name, unit)):
+                    given = pdict.setdefault(pair, e_i)
+                    if given != e_i:
+                        raise AlgebraError(f"product {a}*{b} = {given} contradicts the unit law")
+        pdict = {pair: coords for pair, coords in sorted(pdict.items()) if any(coords)}
         # (n, m) -> [(i, j, coords), ...], the nonzero structure constants only
         table = {}
         for ((n, i), (m, j)), coords in pdict.items():
-            if any(coords):
-                table.setdefault((n, m), []).append((i, j, coords))
+            table.setdefault((n, m), []).append((i, j, coords))
+        object.__setattr__(self, "products", tuple((a, b, c) for (a, b), c in pdict.items()))
         object.__setattr__(self, "_gdict", gdict)
         object.__setattr__(self, "_pdict", pdict)
         object.__setattr__(self, "_table", table)
@@ -193,10 +202,10 @@ def presented_ring(groups_spec: dict, products_by_name: dict) -> PresentedGraded
     """Build a PresentedGradedRing from readable data.
 
     groups_spec maps degree -> (orders, names); products_by_name maps a pair
-    of generator names to product coordinates. Unit products are filled in (a
-    named one that disagrees with the unit law is refused), products landing
-    in unrecorded degrees become zero, and any remaining unnamed pair of
-    generators defaults to the zero product.
+    of generator names to product coordinates. Products landing in
+    unrecorded degrees are dropped, and any unnamed pair of generators is the
+    zero product; the constructor fills in the unit products (a named one
+    that disagrees with the unit law is refused).
     """
     groups = tuple(
         (d, GroupPresentation(tuple(orders), tuple(names)))
@@ -213,20 +222,10 @@ def presented_ring(groups_spec: dict, products_by_name: dict) -> PresentedGraded
         raise AlgebraError(f"products named for unknown generators: {unknown}")
     gdict = dict(groups)
     products = []
-    gens = [(d, i, name) for d, g in groups for i, name in enumerate(g.names)]
-    for (n, i, a), (m, j, b) in itertools.product(gens, repeat=2):
-        target = gdict.get(n + m, _ZERO_GROUP)
-        if n == 0 or m == 0:
-            k = j if n == 0 else i
-            coords = tuple(1 if t == k else 0 for t in range(target.rank))
-            named = products_by_name.get((a, b))
-            if named is not None and target.canon(tuple(named)) != target.canon(coords):
-                raise AlgebraError(f"product {a}*{b} = {named} contradicts the unit law")
-        else:
-            coords = products_by_name.get((a, b), (0,) * target.rank)
-            if target.is_zero():
-                coords = ()
-        products.append(((n, i), (m, j), target.canon(tuple(coords))))
+    for (a, b), coords in products_by_name.items():
+        (n, i), (m, j) = location[a], location[b]
+        if n + m in gdict:
+            products.append(((n, i), (m, j), gdict[n + m].canon(tuple(coords))))
     return PresentedGradedRing(groups, tuple(products))
 
 
@@ -246,18 +245,14 @@ def generator_elem(pring: PresentedGradedRing, degree: int, i: int) -> SparseSum
 
 
 def unit_elem(pring: PresentedGradedRing) -> SparseSum:
-    return generator_elem(pring, 0, 0)
-
-
-def cup_mul(pring: PresentedGradedRing) -> graded.GradedMul:
-    return graded.GradedMul(NAT, pring, pring.term_mul, 0, (1,))
+    return graded.one(NAT, pring)
 
 
 def cup(a: SparseSum, b: SparseSum) -> SparseSum:
     """Cup product of two elements of the same presented ring."""
     if not isinstance(a.family, PresentedGradedRing):
         raise IndexMismatchError("cup product needs presented-ring elements")
-    return graded.mul_sparse(a, b, cup_mul(a.family))
+    return graded.mul_sparse(a, b)
 
 
 # -------------------------------------------------------------- catalog entries
@@ -309,26 +304,25 @@ class CatalogEntry:
         if degree > self.presented.max_degree:
             # the presented ring has no group there
             return SparseSum.zero(NAT, self.presented)
-        m = cup_mul(self.presented)
         prefix = [0] * len(exps)
-        img = memo.setdefault(tuple(prefix), graded.one(m))
+        img = memo.setdefault(tuple(prefix), graded.one(NAT, self.presented))
         for vi, e in enumerate(exps):
             for _ in range(e):
                 prefix[vi] += 1
                 key = tuple(prefix)
                 hit = memo.get(key)
                 if hit is None:
-                    hit = memo[key] = graded.mul_sparse(img, self._var_elem(vi), m)
+                    hit = memo[key] = graded.mul_sparse(img, self._var_elem(vi))
                 img = hit
         return img
 
     def image_of_poly(self, p: SparseSum) -> SparseSum:
         """Multiplicative extension of the variable images to a raw polynomial.
 
-        Each monomial's image is computed once per entry, from cup_mul's
-        structure constants, and kept; a monomial above the top degree maps
-        to zero without any work. The scaled images are summed per degree
-        and canonicalized once.
+        Each monomial's image is computed once per entry, from the structure
+        constants, and kept; a monomial above the top degree maps to zero
+        without any work. The scaled images are summed per degree and
+        canonicalized once.
         """
         acc: dict = {}
         for exps, c in p.terms:

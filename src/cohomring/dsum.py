@@ -10,6 +10,9 @@ assign a different abelian group to every index. The common case of a single
 ring throughout is ConstantFamily; the other kind is a presented cohomology
 ring (cohomology.PresentedGradedRing), whose coefficient at degree n is a
 coordinate tuple in that degree's finitely generated abelian group.
+A family also carries the multiplication: term_mul(i, x, j, y) is the
+coefficient at combine(i, j) of two terms' product, and one is the unit's
+coefficient at the monoid's unit index.
 """
 
 from dataclasses import dataclass
@@ -75,7 +78,14 @@ NAT = NatIndex()
 
 
 class CoeffFamily:
-    """Abelian-group operations for the coefficient at each index."""
+    """Abelian-group operations for the coefficient at each index, plus term_mul and one."""
+
+    @property
+    def one(self):
+        raise NotImplementedError
+
+    def term_mul(self, i: Index, x, j: Index, y):
+        raise NotImplementedError
 
     def zero(self, i: Index):
         raise NotImplementedError
@@ -107,6 +117,13 @@ class ConstantFamily(CoeffFamily):
 
     def is_zero(self, i, x):
         return self.ring.is_zero(x)
+
+    @property
+    def one(self):
+        return self.ring.one
+
+    def term_mul(self, i, x, j, y):
+        return self.ring.mul(x, y)
 
 
 def _same_shape(a, b) -> None:

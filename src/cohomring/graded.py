@@ -1,54 +1,32 @@
 """Multiplication on direct sums, one homogeneous pair at a time.
 
-A GradedMul packages the bilinear data of a graded ring: how to multiply a
-coefficient sitting at index i with one sitting at index j to get the
-coefficient at i+j, and which term acts as the unit. Polynomial rings use
-plain coefficient multiplication; the cohomology catalog supplies structure
-constants instead.
+A graded ring's multiplication is carried by its coefficient family:
+family.term_mul(i, x, j, y) multiplies a coefficient sitting at index i with
+one sitting at index j to give the coefficient at i+j, and family.one is the
+unit's coefficient at the monoid's unit index. Polynomial rings
+(ConstantFamily) multiply coefficients in their ring; a presented cohomology
+ring multiplies through its structure constants. mul_sparse is the product
+every caller uses; mul_dense, the schoolbook convolution, stays as the
+reference that tests check faster products against.
 """
 
-from dataclasses import dataclass
-from typing import Any, Callable
-
 from . import instrument
-from .dsum import ConstantFamily, DenseSeq, SparseSum
+from .dsum import DenseSeq, SparseSum, _same_shape
 from .errors import IndexMismatchError
-from .rings import Ring
 
 
-@dataclass(frozen=True)
-class GradedMul:
-    monoid: Any
-    family: Any
-    term_mul: Callable  # (i, x, j, y) -> coefficient at combine(i, j)
-    unit_index: Any
-    unit_coeff: Any
+def one(monoid, family) -> SparseSum:
+    return SparseSum.single(monoid, family, monoid.unit(), family.one)
 
 
-def coefficient_mul(monoid, ring: Ring) -> GradedMul:
-    """The GradedMul of a polynomial ring: indices add, coefficients multiply."""
-    return GradedMul(
-        monoid=monoid,
-        family=ConstantFamily(ring),
-        term_mul=lambda i, x, j, y: ring.mul(x, y),
-        unit_index=monoid.unit(),
-        unit_coeff=ring.one,
-    )
-
-
-def one(m: GradedMul) -> SparseSum:
-    return SparseSum.single(m.monoid, m.family, m.unit_index, m.unit_coeff)
-
-
-def mul_sparse(a: SparseSum, b: SparseSum, m: GradedMul) -> SparseSum:
+def mul_sparse(a: SparseSum, b: SparseSum) -> SparseSum:
     """Product over all term pairs, collected by combined index."""
-    if a.monoid != m.monoid or b.monoid != m.monoid or a.family != m.family or b.family != m.family:
-        raise IndexMismatchError("operands do not match the graded multiplication")
-    combine = m.monoid.combine
-    term_mul = m.term_mul
+    _same_shape(a, b)
+    combine = a.monoid.combine
+    term_mul = a.family.term_mul
     return SparseSum.from_terms(
-        m.monoid,
-        m.family,
+        a.monoid,
+        a.family,
         (
             (combine(i, j), term_mul(i, x, j, y))
             for i, x in a.terms
@@ -57,21 +35,21 @@ def mul_sparse(a: SparseSum, b: SparseSum, m: GradedMul) -> SparseSum:
     )
 
 
-def mul_dense(f: DenseSeq, g: DenseSeq, m: GradedMul) -> DenseSeq:
+def mul_dense(f: DenseSeq, g: DenseSeq) -> DenseSeq:
     """Convolution: result[n] = sum of term_mul(i, f[i], n-i, g[n-i]).
 
     The result carries len(f) + len(g) - 1 positions, enough for every
     product of in-range indices; all higher positions are zero anyway.
     """
-    if f.family != m.family or g.family != m.family:
-        raise IndexMismatchError("operands do not match the graded multiplication")
+    if f.family != g.family:
+        raise IndexMismatchError("operands weighted differently")
+    fam = f.family
     fc, gc = f.coeffs, g.coeffs
     if not fc or not gc:
-        return DenseSeq(m.family, ())
+        return DenseSeq(fam, ())
     length = len(fc) + len(gc) - 1
     instrument.bump("dense_positions", length)
-    fam = m.family
-    term_mul = m.term_mul
+    term_mul = fam.term_mul
     out = []
     for n in range(length):
         acc = fam.zero(n)
@@ -80,10 +58,10 @@ def mul_dense(f: DenseSeq, g: DenseSeq, m: GradedMul) -> DenseSeq:
         for i in range(lo, hi + 1):
             acc = fam.add(n, acc, term_mul(i, fc[i], n - i, gc[n - i]))
         out.append(acc)
-    return DenseSeq(m.family, tuple(out))
+    return DenseSeq(fam, tuple(out))
 
 
-def check_laws(m: GradedMul, triples) -> list:
+def check_laws(triples) -> list:
     """Ring-law violations of mul_sparse over the given (a, b, c) triples.
 
     Checks left/right distributivity over +, associativity, and the unit
@@ -91,17 +69,17 @@ def check_laws(m: GradedMul, triples) -> list:
     failed; empty means every sampled instance held.
     """
     failed = []
-    u = one(m)
 
     def note(name, ok):
         if not ok and name not in failed:
             failed.append(name)
 
     for a, b, c in triples:
-        ab = mul_sparse(a, b, m)
-        note("left-distributivity", mul_sparse(a + b, c, m) == mul_sparse(a, c, m) + mul_sparse(b, c, m))
-        note("right-distributivity", mul_sparse(a, b + c, m) == ab + mul_sparse(a, c, m))
-        note("associativity", mul_sparse(ab, c, m) == mul_sparse(a, mul_sparse(b, c, m), m))
-        note("left-unit", mul_sparse(u, a, m) == a)
-        note("right-unit", mul_sparse(a, u, m) == a)
+        u = one(a.monoid, a.family)
+        ab = mul_sparse(a, b)
+        note("left-distributivity", mul_sparse(a + b, c) == mul_sparse(a, c) + mul_sparse(b, c))
+        note("right-distributivity", mul_sparse(a, b + c) == ab + mul_sparse(a, c))
+        note("associativity", mul_sparse(ab, c) == mul_sparse(a, mul_sparse(b, c)))
+        note("left-unit", mul_sparse(u, a) == a)
+        note("right-unit", mul_sparse(a, u) == a)
     return failed

@@ -180,8 +180,7 @@ def mul(p, q):
     if isinstance(p, SparseSum) and isinstance(q, SparseSum):
         if not isinstance(p.family, ConstantFamily):
             raise IndexMismatchError("not a polynomial: coefficients vary by index")
-        m = graded.coefficient_mul(p.monoid, p.family.ring)
-        return graded.mul_sparse(p, q, m)
+        return graded.mul_sparse(p, q)
     if isinstance(p, DenseSeq) and isinstance(q, DenseSeq):
         if p.family != q.family:
             raise IndexMismatchError("operands over different rings")

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from cohomring import cohomology as coh
 from cohomring import graded, ideal, poly
+from cohomring.dsum import NAT
 from cohomring.errors import (
     AlgebraError,
+    IndexMismatchError,
     NotFiniteError,
     SearchSpaceTooLargeError,
     UnsupportedPairError,
@@ -225,9 +227,9 @@ def _count_mul_sparse(monkeypatch):
     calls = []
     original = graded.mul_sparse
 
-    def counted(a, b, m):
+    def counted(a, b):
         calls.append(1)
-        return original(a, b, m)
+        return original(a, b)
 
     monkeypatch.setattr(graded, "mul_sparse", counted)
     return calls
@@ -362,6 +364,62 @@ def test_presented_ring_refuses_a_unit_product_against_the_unit_law():
         coh.presented_ring(groups, {("alpha", "eta"): (0,)})
     agreeing = coh.presented_ring(groups, {("eta", "alpha"): (1,)})
     assert agreeing == coh.presented_ring(groups, {})
+
+
+def _term_mul_table(pring):
+    """term_mul on every pair of generator coordinate vectors."""
+    unit_vectors = lambda d: [
+        tuple(1 if t == i else 0 for t in range(pring.group(d).rank))
+        for i in range(pring.group(d).rank)
+    ]
+    return [
+        (n, x, m, y, pring.term_mul(n, x, m, y))
+        for n, m in itertools.product(pring.degrees(), repeat=2)
+        for x in unit_vectors(n)
+        for y in unit_vectors(m)
+    ]
+
+
+def test_a_presented_ring_does_not_depend_on_how_its_products_are_spelled():
+    groups = {0: ((2,), ("eta",)), 1: ((2, 2), ("alpha", "beta")), 2: ((2,), ("gamma",))}
+    square = {("alpha", "alpha"): (1,)}
+    bare = coh.presented_ring(groups, square)
+    zeros = {("alpha", "beta"): (0,), ("beta", "alpha"): (0,), ("beta", "beta"): (0,)}
+    units = {("eta", "alpha"): (1, 0), ("gamma", "eta"): (1,), ("eta", "eta"): (1,)}
+    spellings = [
+        coh.presented_ring(groups, {**square, **zeros}),
+        coh.presented_ring(groups, {**square, ("alpha", "gamma"): (0,)}),  # degree 3: dropped
+        coh.presented_ring(groups, {**square, **units}),
+        coh.PresentedGradedRing(bare.groups, (((1, 0), (1, 0), (1,)),)),
+    ]
+    for pring in spellings:
+        assert pring == bare
+        assert pring.products == bare.products
+        assert _term_mul_table(pring) == _term_mul_table(bare)
+    with pytest.raises(AlgebraError, match="unit law"):
+        coh.PresentedGradedRing(bare.groups, (((0, 0), (1, 0), (0, 1)),))
+
+
+def test_catalog_cup_constants_satisfy_the_ring_laws():
+    for entry in coh.catalog_entries():
+        pring = entry.presented
+        gens = [
+            coh.generator_elem(pring, d, i)
+            for d in pring.degrees()
+            for i in range(pring.group(d).rank)
+        ]
+        triples = list(itertools.product(gens, repeat=3))
+        assert 8 <= len(triples) <= 64
+        assert graded.check_laws(triples) == [], entry.label()
+        assert coh.unit_elem(pring) == graded.one(NAT, pring) == coh.generator_elem(pring, 0, 0)
+
+
+def test_a_polynomial_times_a_presented_ring_element_is_refused():
+    pring = coh.catalog_get(CP2, Z).presented
+    with pytest.raises(IndexMismatchError):
+        graded.mul_sparse(poly.x_power(Z, 1), coh.generator_elem(pring, 2, 0))
+    with pytest.raises(IndexMismatchError):
+        graded.mul_sparse(coh.generator_elem(pring, 2, 0), poly.x_power(Z, 1))
 
 
 def test_iso_search_bails_out_on_a_huge_space():

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohomring import graded, poly
-from cohomring.dsum import NAT, ConstantFamily, DenseSeq, to_dense
+from cohomring.dsum import ConstantFamily, DenseSeq, to_dense
 from cohomring.errors import ArityMismatchError, IndexMismatchError, ZeroPolynomialError
 from cohomring.rings import IntegerRing, ModularRing
 
@@ -107,9 +107,7 @@ def test_multi_product_collects_by_exponent_vector():
 @given(rings.flatmap(lambda r: st.tuples(uni_dense_polys(r), uni_dense_polys(r))))
 def test_fast_dense_product_matches_convolution(pair):
     f, g = pair
-    ring = f.family.ring
-    m = graded.coefficient_mul(NAT, ring)
-    assert poly.mul(f, g) == graded.mul_dense(f, g, m)
+    assert poly.mul(f, g) == graded.mul_dense(f, g)
 
 
 @given(rings.flatmap(lambda r: st.tuples(uni_sparse_polys(r), uni_sparse_polys(r))))
@@ -181,7 +179,7 @@ def test_render_dense():
 
 
 def _convolution(f, g):
-    return graded.mul_dense(f, g, graded.coefficient_mul(NAT, f.family.ring))
+    return graded.mul_dense(f, g)
 
 
 # coefficients up to 2^70, plus each k-byte slot's sign bit 2^(8k-1) (either sign) and top 2^(8k)-1
