@@ -6,10 +6,16 @@ pairs, non-invertible leads) exit 1, usage problems (unknown flags, missing
 arguments) exit 2. With --json the output is a single JSON object with the
 fields {command, inputs, result, diagnostics}, rendered with sorted keys so
 equal invocations produce identical bytes.
+
+The argparse parser is built once per process, on the first command, and
+reused: a parse keeps no state in the parser, and argparse looks up
+sys.stdout and sys.stderr only when it prints, so run_command still captures
+usage errors and --help.
 """
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -125,6 +131,7 @@ def _handle_distinguish(args):
     return verdict.describe(), verdict.describe(), {}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohomring",

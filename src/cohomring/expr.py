@@ -13,6 +13,12 @@ Multiplication is always explicit ("2*X", never "2X") and integers only open
 a term. The optional leading minus exists so that everything render emits
 parses back: a polynomial whose lowest term has a negative coefficient
 renders as "-X + ...".
+
+A term's integer and variable powers fold into one coefficient and one
+exponent vector; only parenthesized factors are multiplied as polynomials,
+and their product is then shifted by that monomial. An expr collects the
+signed (exponents, coefficient) pairs of all its terms and merges them once,
+so an n-term sum costs one canonicalization, not n.
 """
 
 from . import poly
@@ -90,28 +96,37 @@ class _Parser:
         negate = self.peek()[0] == "-"
         if negate:
             self.advance()
-        acc = self.term()
-        if negate:
-            acc = -acc
+        pairs = self.term(negate)
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
+            pairs += self.term(self.advance()[0] == "-")
+        return poly.multi(self.ring, len(self.names), pairs)
 
-    def term(self):
-        kind, text, _ = self.peek()
-        if kind == "int":
-            self.advance()
-            acc = poly.constant(self.ring, len(self.names), int(text))
+    def term(self, negate: bool) -> list:
+        """The term's (exponents, coefficient) pairs, negated when asked."""
+        exps = [0] * len(self.names)
+        coeff, product = 1, None
+        if self.peek()[0] == "int":
+            coeff = int(self.advance()[1])
         else:
-            acc = self.factor()
+            product = self.factor(exps)
         while self.peek()[0] == "*":
             self.advance()
-            acc = poly.mul(acc, self.factor())
-        return acc
+            inner = self.factor(exps)
+            if inner is not None:
+                product = inner if product is None else poly.mul(product, inner)
+        if negate:
+            coeff = -coeff
+        if product is None:
+            return [(tuple(exps), coeff)]
+        mul = self.ring.mul
+        coeff = self.ring.normalize(coeff)
+        return [
+            (tuple(a + b for a, b in zip(e, exps)), mul(coeff, x)) for e, x in product.terms
+        ]
 
-    def factor(self):
+    def factor(self, exps: list):
+        """A parenthesized factor's polynomial, or None after adding a variable
+        power into exps."""
         kind, text, pos = self.peek()
         if kind == "(":
             if self.depth == MAX_NESTING:
@@ -130,8 +145,8 @@ class _Parser:
             if self.peek()[0] == "^":
                 self.advance()
                 e = int(self.expect("int", "an exponent")[1])
-            exps = tuple(e if k == self.index[text] else 0 for k in range(len(self.names)))
-            return poly.multi(self.ring, len(self.names), {exps: 1})
+            exps[self.index[text]] += e
+            return None
         raise ParseError("expected a number, variable, or parenthesized expression", pos)
 
 

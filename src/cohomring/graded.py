@@ -20,19 +20,23 @@ def one(monoid, family) -> SparseSum:
 
 
 def mul_sparse(a: SparseSum, b: SparseSum) -> SparseSum:
-    """Product over all term pairs, collected by combined index."""
+    """Product over all term pairs, collected by combined index.
+
+    Each pair's coefficient is summed into a dict keyed by its combined
+    index, and the dict goes through one from_terms, which validates every
+    distinct index, drops zeros and sorts.
+    """
     _same_shape(a, b)
     combine = a.monoid.combine
-    term_mul = a.family.term_mul
-    return SparseSum.from_terms(
-        a.monoid,
-        a.family,
-        (
-            (combine(i, j), term_mul(i, x, j, y))
-            for i, x in a.terms
-            for j, y in b.terms
-        ),
-    )
+    family = a.family
+    term_mul, add = family.term_mul, family.add
+    acc: dict = {}
+    for i, x in a.terms:
+        for j, y in b.terms:
+            k = combine(i, j)
+            z = term_mul(i, x, j, y)
+            acc[k] = add(k, acc[k], z) if k in acc else z
+    return SparseSum.from_terms(a.monoid, family, acc.items())
 
 
 def mul_dense(f: DenseSeq, g: DenseSeq) -> DenseSeq:

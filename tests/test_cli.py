@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cohomring import cli
 from cohomring.cli import main, run_command
 from cohomring.cohomology import catalog_entries
 
@@ -392,3 +393,47 @@ _TOKENS = st.sampled_from(
 def test_fuzzed_argv_never_panics(argv):
     code, _ = run_command(argv)
     assert code in (0, 1, 2)
+
+
+# groebner-check --complete then plain; eval with 1, 2 and 3 values; --json
+# then none; usage errors after successes; --help
+_GROEBNER = ["groebner-check", "--ideal", "(X^2 - Y, X*Y - 1)", "--ring", "Z7"]
+_SEQUENCE = [
+    _GROEBNER + ["--complete"],
+    _GROEBNER,
+    ["eval", "X^2 + 1", "3", "--vars", "X"],
+    ["eval", "X*Y", "3", "4"],
+    ["eval", "X*Y*Z", "2", "3", "5", "--vars", "X,Y,Z", "--ring", "Z7"],
+    ["eval", "X*Y", "2", "3", "5"],
+    REDUCE_ARGS + ["--json"],
+    REDUCE_ARGS,
+    ["normalize", "X + X"],
+    ["normalize"],
+    ["mul", "X + 1", "X - 1", "--unknown"],
+    ["--help"],
+    ["eval", "--help"],
+    ["cohomology-group", "K2", "1", "--coeff", "Z2", "--json"],
+    ["cohomology-group", "K2", "1"],
+    ["add", "X", "Y", "--json"],
+    ["add", "X", "Y"],
+]
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(monkeypatch):
+    cached = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", cached.__wrapped__)
+    fresh = [run_command(argv) for argv in _SEQUENCE]
+    monkeypatch.undo()
+    assert fresh[:2] == [(0, "(6*Y + X^2, 6 + X*Y, 6*X + Y^2)"), (0, "false")]
+    assert fresh[2:6] == [(0, "10"), (0, "12"), (0, "2"), (1, "error: expected 2 values, got 3")]
+    assert json.loads(fresh[6][1])["result"] == "X*Y" and fresh[7] == (0, "X*Y")
+    for code, text in fresh[9:11]:
+        assert code == 2 and text.startswith("usage: cohomring")
+    assert fresh[11][0] == 0 and fresh[11][1].startswith("usage: cohomring [-h]")
+    assert fresh[12][0] == 0 and fresh[12][1].startswith("usage: cohomring eval")
+
+    cached.cache_clear()
+    assert [run_command(argv) for argv in _SEQUENCE] == fresh
+    for argv in (_SEQUENCE * 2)[: 50 - len(_SEQUENCE)]:
+        run_command(argv)
+    assert cached.cache_info().misses == 1

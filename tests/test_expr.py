@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from cohomring import expr, poly
-from cohomring.errors import ParseError, UnknownVariableError
+from cohomring import dsum, expr, poly
+from cohomring.errors import AlgebraError, ParseError, UnknownVariableError
 from cohomring.rings import IntegerRing, ModularRing
 
 from conftest import multi_polys
@@ -172,3 +173,143 @@ def test_parse_ideal_refuses_text_after_the_closing_paren():
     with pytest.raises(ParseError) as caught:
         expr.parse_ideal("(X))", Z, X)
     assert caught.value.position == 3
+
+
+class _OracleParser(expr._Parser):
+    """The term-by-term parser: each factor is a polynomial, each "*" one
+    poly.mul and each "+" or "-" one sum."""
+
+    def expr(self):
+        negate = self.peek()[0] == "-"
+        if negate:
+            self.advance()
+        acc = self.term()
+        if negate:
+            acc = -acc
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            rhs = self.term()
+            acc = acc + rhs if op == "+" else acc - rhs
+        return acc
+
+    def term(self):
+        kind, text, _ = self.peek()
+        if kind == "int":
+            self.advance()
+            acc = poly.constant(self.ring, len(self.names), int(text))
+        else:
+            acc = self.factor()
+        while self.peek()[0] == "*":
+            self.advance()
+            acc = poly.mul(acc, self.factor())
+        return acc
+
+    def factor(self):
+        kind, text, pos = self.peek()
+        if kind == "(":
+            if self.depth == expr.MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {expr.MAX_NESTING}", pos)
+            self.advance()
+            self.depth += 1
+            inner = self.expr()
+            self.depth -= 1
+            self.expect(")", '")"')
+            return inner
+        if kind == "name":
+            self.advance()
+            if text not in self.index:
+                raise UnknownVariableError(f"unknown variable {text!r}")
+            e = 1
+            if self.peek()[0] == "^":
+                self.advance()
+                e = int(self.expect("int", "an exponent")[1])
+            exps = tuple(e if k == self.index[text] else 0 for k in range(len(self.names)))
+            return poly.multi(self.ring, len(self.names), {exps: 1})
+        raise ParseError("expected a number, variable, or parenthesized expression", pos)
+
+
+def _outcome(parse, text, ring):
+    """The parsed polynomial, or the error's type, message and position."""
+    try:
+        return parse(text, ring, XY)
+    except AlgebraError as err:
+        return type(err), str(err), getattr(err, "position", None)
+
+
+def _oracle_parse(text, ring, names):
+    parser = _OracleParser(expr._tokenize(text), ring, names)
+    out = parser.expr()
+    tail = parser.peek()
+    if tail[0] != "end":
+        raise ParseError(f"unexpected {tail[1]!r}", tail[2])
+    return out
+
+
+_ATOMS = ["X", "Y", "X^0", "X^2", "Y^3", "X^10"]
+_INTS = ["0", "1", "3", "6", "12"]
+
+
+def _expr_texts(factors):
+    lead = st.sampled_from([""] + [n + "*" for n in _INTS])
+    product = st.tuples(lead, st.lists(factors, min_size=1, max_size=3)).map(
+        lambda t: t[0] + "*".join(t[1])
+    )
+    term = st.one_of(st.sampled_from(_INTS), product)
+    rest = st.lists(st.tuples(st.sampled_from([" + ", " - ", "-", "+"]), term), max_size=4)
+    return st.tuples(st.sampled_from(["", "-"]), term, rest).map(
+        lambda t: t[0] + t[1] + "".join(op + tm for op, tm in t[2])
+    )
+
+
+_factors = st.recursive(
+    st.sampled_from(_ATOMS), lambda inner: _expr_texts(inner).map("({})".format), max_leaves=10
+)
+_soup = st.lists(
+    st.sampled_from(_ATOMS + _INTS + ["*", "^", "+", "-", "(", ")", " ", ",", "Q", "2X", "&"]),
+    max_size=12,
+).map("".join)
+_texts = st.one_of(_expr_texts(_factors), _soup)
+_rings = st.sampled_from([Z, Z2, ModularRing(6), ModularRing(7)])
+
+
+@given(_texts, _rings)
+@example("X*X^2 - 0*X + X^0*(Y - X)*(X + Y)^2", Z)
+@example("-3*(X + 2*Y)*X - 6*Y*(X)", ModularRing(6))
+@example("((X", Z)
+def test_parse_agrees_with_the_term_by_term_parser(text, ring):
+    assert _outcome(expr.parse, text, ring) == _outcome(_oracle_parse, text, ring)
+
+
+@given(st.sampled_from([Z, Z2, ModularRing(6), ModularRing(12)]).flatmap(
+    lambda r: st.tuples(st.just(r), multi_polys(r, arity=2))
+))
+@example((Z, poly.multi(Z, 2, {})))
+@example((Z, poly.multi(Z, 2, {(0, 0): -4, (1, 0): 3, (0, 2): -1})))
+@example((ModularRing(6), poly.multi(ModularRing(6), 2, {(1, 1): -1, (2, 0): 3})))
+def test_parse_inverts_render(case):
+    ring, p = case
+    assert expr.parse(poly.render(p, XY), ring, XY) == p
+
+
+def test_a_sum_without_parentheses_is_one_merge(monkeypatch):
+    calls = {"from_terms": 0, "mul": 0}
+    from_terms, mul = dsum.SparseSum.from_terms, poly.mul
+
+    def counting_from_terms(*args):
+        calls["from_terms"] += 1
+        return from_terms(*args)
+
+    def counting_mul(*args):
+        calls["mul"] += 1
+        return mul(*args)
+
+    monkeypatch.setattr(dsum.SparseSum, "from_terms", staticmethod(counting_from_terms))
+    monkeypatch.setattr(poly, "mul", counting_mul)
+    text = " + ".join(f"{k + 1}*X^{k}*Y*X" for k in range(40)) + " - 7 - Y^2*Y"
+    p = expr.parse(text, Z, XY)
+    assert calls == {"from_terms": 1, "mul": 0}
+    assert len(p.terms) == 42
+    expr.parse("3*X*(X + Y)", Z, XY)
+    assert calls == {"from_terms": 3, "mul": 0}
+    expr.parse("(X + 1)*(Y + 1)", Z, XY)
+    assert calls["mul"] == 1

@@ -1,13 +1,13 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cohomring import graded
-from cohomring.dsum import NAT, ConstantFamily, DenseSeq, SparseSum, to_dense
+from cohomring import graded, instrument, poly
+from cohomring.dsum import NAT, ConstantFamily, DenseSeq, ExpIndex, SparseSum, to_dense
 from cohomring.errors import IndexMismatchError
 from cohomring.rings import IntegerRing, ModularRing
 
-from conftest import Z, Z2, rings, uni_dense_polys, uni_sparse_polys
+from conftest import Z, Z2, multi_polys, rings, uni_dense_polys, uni_sparse_polys
 
 FZ = ConstantFamily(Z)
 FZ2 = ConstantFamily(Z2)
@@ -93,3 +93,47 @@ def test_check_laws_flags_a_broken_product():
     a = SparseSum.single(NAT, _Broken(Z), 1, 1)
     found = graded.check_laws([(a, a, a)])
     assert "left-unit" in found or "associativity" in found
+
+
+Z6 = ModularRing(6)
+
+
+def _pairs_product(a, b):
+    """The product as one from_terms over every term pair."""
+    combine, term_mul = a.monoid.combine, a.family.term_mul
+    return SparseSum.from_terms(
+        a.monoid,
+        a.family,
+        [(combine(i, j), term_mul(i, x, j, y)) for i, x in a.terms for j, y in b.terms],
+    )
+
+
+@given(
+    st.sampled_from([Z, Z2, Z6]).flatmap(
+        lambda r: st.tuples(multi_polys(r, arity=3, max_exp=3), multi_polys(r, arity=3, max_exp=3))
+    )
+)
+# (2*X + 4*Y) * 3*Z cancels completely over Z/6, and (X + Y) * (X - Y) in part
+@example((poly.multi(Z6, 3, {(1, 0, 0): 2, (0, 1, 0): 4}), poly.multi(Z6, 3, {(0, 0, 1): 3})))
+@example(
+    (poly.multi(Z, 3, {(1, 0, 0): 1, (0, 1, 0): 1}), poly.multi(Z, 3, {(1, 0, 0): 1, (0, 1, 0): -1}))
+)
+def test_mul_sparse_is_one_merge_of_all_term_pairs(pair):
+    a, b = pair
+    instrument.reset()
+    product = graded.mul_sparse(a, b)
+    assert instrument.counts()["coeff_mul"] == len(a.terms) * len(b.terms)
+    assert product == _pairs_product(a, b)
+
+
+class _Subtracting(ExpIndex):
+    def combine(self, i, j):
+        return tuple(x - y for x, y in zip(i, j))
+
+
+def test_mul_sparse_validates_every_combined_index():
+    monoid = _Subtracting(1)
+    a = SparseSum(monoid, FZ, (((1,), 1),))
+    b = SparseSum(monoid, FZ, (((0,), 1), ((2,), 1)))
+    with pytest.raises(IndexMismatchError):
+        graded.mul_sparse(a, b)
