@@ -29,7 +29,7 @@ from .cohomology import (
     parse_space,
 )
 from .errors import AlgebraError, ConfigError
-from .ideal import complete_to_groebner, is_groebner, make_basis
+from .ideal import complete_to_groebner, is_groebner, make_basis, require_groebner
 from .ideal import reduce as reduce_to_normal
 from .rings import check_digits, check_printable, parse_ring
 
@@ -87,6 +87,7 @@ def _handle_eval(args):
 def _handle_reduce(args):
     ring, names = _poly_setup(args)
     basis = make_basis(expr.parse_ideal(args.ideal, ring, names))
+    require_groebner(basis)
     text = poly.render(reduce_to_normal(expr.parse(args.expr, ring, names), basis), names)
     return text, text, {}
 

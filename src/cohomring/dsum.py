@@ -171,9 +171,6 @@ class SparseSum:
                 return x
         return self.family.zero(i)
 
-    def support(self) -> tuple:
-        return tuple(i for i, _ in self.terms)
-
     def __add__(self, other: "SparseSum") -> "SparseSum":
         if not isinstance(other, SparseSum):
             return NotImplemented

@@ -40,14 +40,6 @@ TERM_IDEAL = "term-ideal"
 # ------------------------------------------------------------------ monomials
 
 
-def mono_cmp(a: tuple, b: tuple) -> int:
-    """-1, 0, or 1 comparing graded-lexicographically."""
-    if len(a) != len(b):
-        raise ArityMismatchError(f"arity {len(a)} vs {len(b)}")
-    ka, kb = grlex_key(a), grlex_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def _divides(m: tuple, n: tuple) -> bool:
     return all(a <= b for a, b in zip(m, n))
 
@@ -58,6 +50,10 @@ def _mono_sub(n: tuple, m: tuple) -> tuple:
 
 def _mono_lcm(m: tuple, n: tuple) -> tuple:
     return tuple(max(a, b) for a, b in zip(m, n))
+
+
+def _coprime(m: tuple, n: tuple) -> bool:
+    return not any(a and b for a, b in zip(m, n))
 
 
 def _lead(p: SparseSum) -> tuple:
@@ -210,15 +206,28 @@ def s_poly(f: SparseSum, g: SparseSum) -> SparseSum:
 
 
 def is_groebner(basis: RewriteBasis) -> bool:
-    """Buchberger's criterion: every S-polynomial of a pair reduces to zero."""
+    """Buchberger's criterion: every S-polynomial of a pair reduces to zero.
+
+    Pairs with coprime leading monomials are skipped: their S-polynomials
+    always do (the product criterion; Cox, Little & O'Shea, ch. 2 sec. 9).
+    """
     if basis.mode != FIELD:
         raise ModeMismatchError("confluence via S-polynomials needs field mode")
     gens = basis.gens
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
+            if _coprime(_lead(gens[i])[0], _lead(gens[j])[0]):
+                continue
             if not reduce(s_poly(gens[i], gens[j]), basis).is_zero():
                 return False
     return True
+
+
+def require_groebner(basis: RewriteBasis) -> None:
+    """Refuse a field-mode basis that is not Groebner: modulo such a basis
+    the remainder depends on the order of the generators."""
+    if basis.mode == FIELD and not is_groebner(basis):
+        raise NotConfluentError("normal forms are only unique for a Groebner basis")
 
 
 def _total_degree(p: SparseSum) -> int:
@@ -267,10 +276,6 @@ class QuotElem:
         return QuotElem(basis, reduce(p, basis))
 
     @staticmethod
-    def zero(basis: RewriteBasis) -> "QuotElem":
-        return QuotElem(basis, SparseSum.zero(ExpIndex(basis.arity), _family(basis)))
-
-    @staticmethod
     def one(basis: RewriteBasis) -> "QuotElem":
         return QuotElem.make(basis, poly.constant(basis.ring, basis.arity, 1))
 
@@ -300,16 +305,6 @@ class QuotElem:
             return NotImplemented
         self._check(other)
         return QuotElem(self.basis, reduce(poly.mul(self.rep, other.rep), self.basis))
-
-
-def _family(basis: RewriteBasis):
-    return basis.gens[0].family
-
-
-def quot_equal(a: QuotElem, b: QuotElem) -> bool:
-    if a.basis != b.basis:
-        raise BasisMismatchError("elements of different quotient rings")
-    return a.rep == b.rep
 
 
 # ------------------------------------------------------------------- staircase
@@ -347,8 +342,7 @@ def normal_monomials(basis: RewriteBasis, degree_map, up_to: int) -> dict:
         raise ArityMismatchError(f"{basis.arity} variables, {len(degree_map)} weights")
     if any(w < 1 for w in degree_map):
         raise ArityMismatchError("every variable needs a positive weight")
-    if basis.mode == FIELD and not is_groebner(basis):
-        raise NotConfluentError("normal forms are only unique for a Groebner basis")
+    require_groebner(basis)
 
     def order_at(m):
         """The coefficient order kept at m, or None when m is killed outright."""

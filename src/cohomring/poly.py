@@ -284,19 +284,6 @@ def convert(p, target: str):
     return normalize_dense(dense)
 
 
-def uni_to_multi(p: SparseSum) -> SparseSum:
-    """Reindex a univariate sparse polynomial as a one-variable MultiPoly."""
-    fam = p.family
-    return SparseSum(ExpIndex(1), fam, tuple(((e,), c) for e, c in p.terms))
-
-
-def multi_to_uni(p: SparseSum) -> SparseSum:
-    """Inverse of uni_to_multi; needs arity exactly 1."""
-    if not isinstance(p.monoid, ExpIndex) or p.monoid.arity != 1:
-        raise ArityMismatchError("only one-variable polynomials flatten to univariate")
-    return SparseSum(NAT, p.family, tuple((e[0], c) for e, c in p.terms))
-
-
 # ------------------------------------------------------------------- rendering
 
 
@@ -347,8 +334,3 @@ def render(p, names=None) -> str:
         else:
             pieces.append(f"- {body}" if c < 0 else f"+ {body}")
     return " ".join(pieces)
-
-
-def render_dense(p) -> str:
-    coeffs = p.coeffs if isinstance(p, (DenseSeq, UniNormal)) else to_dense(p).coeffs
-    return "[" + ", ".join(str(c) for c in coeffs) + "]"

@@ -13,14 +13,6 @@ from . import instrument
 from .errors import InvalidModulusError, NumberTooLargeError
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
-    """What ring to build: kind is "integers" or "modular"."""
-
-    kind: str
-    modulus: int | None = None
-
-
 def _is_prime(n: int) -> bool:
     # deterministic Miller-Rabin; the base set covers every n < 3.3e24
     if n < 2:
@@ -87,10 +79,6 @@ class Ring:
     def characteristic(self) -> int:
         raise NotImplementedError
 
-    @property
-    def descriptor(self) -> RingDescriptor:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class IntegerRing(Ring):
@@ -107,10 +95,6 @@ class IntegerRing(Ring):
     @property
     def characteristic(self) -> int:
         return 0
-
-    @property
-    def descriptor(self) -> RingDescriptor:
-        return RingDescriptor("integers")
 
     def __str__(self) -> str:
         return "Z"
@@ -142,10 +126,6 @@ class ModularRing(Ring):
     def characteristic(self) -> int:
         return self.n
 
-    @property
-    def descriptor(self) -> RingDescriptor:
-        return RingDescriptor("modular", self.n)
-
     def __str__(self) -> str:
         return f"Z{self.n}"
 
@@ -161,16 +141,6 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
         old_x, x = x, old_x - q * x
         old_y, y = y, old_y - q * y
     return old_r, old_x, old_y
-
-
-def ring_make(d: RingDescriptor) -> Ring:
-    if d.kind == "integers":
-        return IntegerRing()
-    if d.kind == "modular":
-        if d.modulus is None:
-            raise InvalidModulusError("modular descriptor needs a modulus")
-        return ModularRing(d.modulus)
-    raise InvalidModulusError(f"unknown ring kind {d.kind!r}")
 
 
 # ----------------------------------------------------------------- number size

@@ -108,6 +108,27 @@ def test_groebner_check():
     assert run_command(args) == (0, "false")
 
 
+def test_groebner_check_on_coprime_leads_and_on_an_unresolved_pair():
+    z7 = ["--ring", "Z7", "--vars", "X,Y,Z"]
+    coprime = ["--ideal", "(3*X^2 + Y, Y^3 + X + 1, Z^2 + 3*Y)"] + z7
+    assert run_command(["groebner-check"] + coprime) == (0, "true")
+    assert run_command(["reduce", "X^2 + Z^2"] + coprime) == (0, "6*Y")
+    unresolved = ["--ideal", "(X*Y + 2, X*Z + 3)"] + z7
+    assert run_command(["groebner-check"] + unresolved) == (0, "false")
+
+
+def test_reduce_refuses_a_field_basis_that_is_not_groebner():
+    # modulo (X-1, X-Y) the remainder of X was 1 in one order and Y in the
+    # other, and Y-1, which lies in the ideal, reduced to 6 + Y
+    refusal = (1, "error: normal forms are only unique for a Groebner basis")
+    for ideal in ("(X-1, X-Y)", "(X-Y, X-1)"):
+        for expr in ("X", "Y-1"):
+            assert run_command(["reduce", expr, "--ideal", ideal, "--ring", "Z7"]) == refusal
+    done = run_command(["groebner-check", "--ideal", "(X-1, X-Y)", "--ring", "Z7", "--complete"])
+    assert done == (0, "(6 + X, 6*Y + X, 6 + Y)")
+    assert run_command(["reduce", "X", "--ideal", done[1], "--ring", "Z7"]) == (0, "1")
+
+
 def test_groebner_complete():
     code, text = run_command(
         [

@@ -3,22 +3,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohomring.errors import InvalidModulusError
-from cohomring.rings import (
-    IntegerRing,
-    ModularRing,
-    RingDescriptor,
-    parse_ring,
-    ring_make,
-)
+from cohomring.rings import IntegerRing, ModularRing, parse_ring
 
 from conftest import coeffs, rings
 
 
-def test_make_from_descriptor():
-    assert ring_make(RingDescriptor("integers")) == IntegerRing()
-    assert ring_make(RingDescriptor("modular", 7)) == ModularRing(7)
+def test_modulus_below_two_is_refused():
     with pytest.raises(InvalidModulusError):
-        ring_make(RingDescriptor("modular", 1))
+        ModularRing(1)
     with pytest.raises(InvalidModulusError):
         ModularRing(0)
 
