@@ -10,17 +10,36 @@ Univariate polynomials come in three interchangeable forms:
 Multivariate polynomials are SparseSums over exponent vectors. convert()
 moves between the univariate forms without changing the polynomial.
 
-Dense multiplication packs coefficients into slots of one big integer and
-lets the interpreter's native multiplication do the convolution (Kronecker
-substitution), which keeps products of degree ~10^4 well under a second.
-There is one product for every coefficient ring: slots hold signed values
-offset by half their range (balanced decoding, as in Harvey 2009), so
-integer coefficients of either sign need no sign split, and over Z/n the
-only extra step is reducing the result mod n. UniNormal is a canonical view
-over the same dense arithmetic. The schoolbook convolution in
-graded.mul_dense stays available as the independent reference.
+Dense multiplication packs coefficients into slots of one big number and
+lets one native multiplication do the convolution (Kronecker substitution),
+which keeps products of degree ~10^4 to milliseconds. There is one product
+for every coefficient ring: slots hold signed values offset past the largest
+possible sum (balanced decoding, as in Harvey 2009), so integer coefficients
+of either sign need no sign split, and over Z/n the only extra step is
+reducing the result mod n. The product has two radices, picked by the
+shorter operand's packed size, min(len a, len b) * 8 * sb bits for sb-byte
+slots:
+
+  * below _DECIMAL_BITS, base 256: slots of bytes in one int, multiplied by
+    CPython's Karatsuba;
+  * from _DECIMAL_BITS up, base 10: slots of decimal digits in one
+    decimal.Decimal, multiplied by the number-theoretic transform of
+    CPython's C _decimal module (libmpdec), in a private exact context.
+
+Below the crossover the transform's fixed costs and the text conversions
+lose: on the benchmark's dense-product classes (best of 7-15 runs, 2-CPU
+host) the base-10 product took up to 2.6 times as long under 1.5*10^5 bits,
+balanced products crossed between 10^5 and 1.9*10^5 bits, and on balanced
+degree-3*10^4 operands it took 0.42-0.69 of the base-256 time. The crossover
+sits above every degree-3*10^3 class. A slot wider than the int/str digit
+limit keeps to base 256.
+
+UniNormal is a canonical view over the same dense arithmetic. The schoolbook
+convolution in graded.mul_dense stays available as the independent
+reference.
 """
 
+import decimal
 import sys
 from dataclasses import dataclass
 from typing import Iterable
@@ -150,12 +169,47 @@ def degree_and_lead(p) -> tuple:
 # ------------------------------------------------------------- multiplication
 
 
+# The shorter operand's packed size, in bits, from which a dense product takes
+# base 10; the module docstring gives the measurement behind it.
+_DECIMAL_BITS = 170_000
+# Integer arithmetic in decimal that refuses, rather than rounds, a result it
+# cannot hold exactly; private, so the caller's decimal.getcontext() is never
+# read or changed.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+)
+
+
+def _decimal_convolution(a: tuple, b: tuple, w: int, out_len: int) -> list:
+    """Convolution of a and b through one signed base-10 Kronecker product.
+
+    Each slot is w digits wide. Slots are written most significant first, so
+    the number packed from a is a's reversal at X = 10^w, and the product's
+    digits read back in ascending degree.
+    """
+    off = 55 * 10 ** (w - 2)
+    offsets = lambda n: decimal.Decimal(str(off) * n, _EXACT)
+
+    def pack(cs) -> decimal.Decimal:
+        digits = "".join([str(c + off) for c in cs])
+        return _EXACT.subtract(decimal.Decimal(digits, _EXACT), offsets(len(cs)))
+
+    raw = _EXACT.to_sci_string(_EXACT.add(_EXACT.multiply(pack(a), pack(b)), offsets(out_len)))
+    return [int(raw[k : k + w]) - off for k in range(0, w * out_len, w)]
+
+
 def _dense_mul_coeffs(ring: Ring, a: tuple, b: tuple) -> list:
     """Convolution of a and b through one signed Kronecker product.
 
-    Slots are sb bytes wide and every coefficient and convolution sum lies
-    strictly inside (-half, half), so once the all-half offsets are added
-    back each slot reads unsigned without a borrow from its neighbour.
+    Every coefficient and convolution sum is at most bound in absolute value,
+    and each slot holds its value plus an offset that keeps it positive and
+    inside the slot, so once the all-offset constant is added back each slot
+    reads unsigned without a borrow from its neighbour. Base 256 (slots of sb
+    bytes, offset half their range) below the crossover; base 10 (slots of w
+    digits, one more than bound has, offset 5.5 * 10^(w-1)) from
+    _DECIMAL_BITS up, unless a slot would pass the int/str digit limit.
     """
     if not a or not b:
         return []
@@ -163,15 +217,19 @@ def _dense_mul_coeffs(ring: Ring, a: tuple, b: tuple) -> list:
     instrument.bump("dense_positions", out_len)
     bound = max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) * min(len(a), len(b))
     sb = bound.bit_length() // 8 + 1  # the least sb with bound < half
-    half = 1 << (8 * sb - 1)
-    offsets = lambda n: int.from_bytes(half.to_bytes(sb, "little") * n, "little")
+    budget = printable_bits()  # bound < 2^(budget - 4) prints, a digit to spare
+    if 8 * sb * min(len(a), len(b)) >= _DECIMAL_BITS and (not budget or 8 * sb <= budget - 4):
+        out = _decimal_convolution(a, b, len(str(bound)) + 1, out_len)
+    else:
+        half = 1 << (8 * sb - 1)
+        offsets = lambda n: int.from_bytes(half.to_bytes(sb, "little") * n, "little")
 
-    def pack(cs) -> int:
-        buf = b"".join((c + half).to_bytes(sb, "little") for c in cs)
-        return int.from_bytes(buf, "little") - offsets(len(cs))
+        def pack(cs) -> int:
+            buf = b"".join((c + half).to_bytes(sb, "little") for c in cs)
+            return int.from_bytes(buf, "little") - offsets(len(cs))
 
-    raw = (pack(a) * pack(b) + offsets(out_len)).to_bytes(sb * out_len, "little")
-    out = [int.from_bytes(raw[k * sb : (k + 1) * sb], "little") - half for k in range(out_len)]
+        raw = (pack(a) * pack(b) + offsets(out_len)).to_bytes(sb * out_len, "little")
+        out = [int.from_bytes(raw[k * sb : (k + 1) * sb], "little") - half for k in range(out_len)]
     return [c % ring.n for c in out] if isinstance(ring, ModularRing) else out
 
 

@@ -1,8 +1,12 @@
+import decimal
+import sys
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cohomring import graded, poly
+from cohomring import graded, instrument, poly
 from cohomring.dsum import ConstantFamily, DenseSeq, ExpIndex, SparseSum, to_dense
 from cohomring.errors import ArityMismatchError, IndexMismatchError, ZeroPolynomialError
 from cohomring.rings import IntegerRing, ModularRing
@@ -104,10 +108,22 @@ def test_multi_product_collects_by_exponent_vector():
     assert sq == poly.multi(Z, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
 
+# the dense product's crossover forced to 0, so every product takes the base-10
+# path, and past every input here, so every product takes the base-256 path
+CROSSOVERS = (0, 10**9)
+
+
+def mul_at(crossover, f, g):
+    """poly.mul with the base-10 crossover set to `crossover` packed bits."""
+    with mock.patch.object(poly, "_DECIMAL_BITS", crossover):
+        return poly.mul(f, g)
+
+
 @given(rings.flatmap(lambda r: st.tuples(uni_dense_polys(r), uni_dense_polys(r))))
 def test_fast_dense_product_matches_convolution(pair):
     f, g = pair
-    assert poly.mul(f, g) == graded.mul_dense(f, g)
+    for crossover in CROSSOVERS:
+        assert mul_at(crossover, f, g) == graded.mul_dense(f, g)
 
 
 @given(rings.flatmap(lambda r: st.tuples(uni_sparse_polys(r), uni_sparse_polys(r))))
@@ -174,12 +190,17 @@ def _convolution(f, g):
     return graded.mul_dense(f, g)
 
 
-# coefficients up to 2^70, plus each k-byte slot's sign bit 2^(8k-1) (either sign) and top 2^(8k)-1
-slot_edges = st.integers(1, 9).flatmap(
+# coefficients up to 2^70, plus each k-byte slot's sign bit 2^(8k-1) (either sign) and top
+# 2^(8k)-1, and each digit count's edges 10^k-1, 10^k and the base-10 offset's 5*10^k, 4.5*10^k
+byte_edges = st.integers(1, 9).flatmap(
     lambda k: st.sampled_from([2 ** (8 * k - 1), -(2 ** (8 * k - 1)), 2 ** (8 * k) - 1])
 )
+digit_edges = st.integers(1, 21).flatmap(
+    lambda k: st.sampled_from([10**k - 1, 10**k, 5 * 10**k, 45 * 10 ** (k - 1)])
+).flatmap(lambda c: st.sampled_from([c, -c]))
+slot_edges = st.one_of(byte_edges, digit_edges)
 wide_coeffs = st.one_of(st.integers(-(2**70), 2**70), slot_edges)
-wide_rings = st.sampled_from([Z, ModularRing(256), ModularRing(2**61 - 1)])
+wide_rings = st.sampled_from([Z, Z2, ModularRing(256), ModularRing(32003), ModularRing(2**61 - 1)])
 
 
 def wide_dense_polys(ring):
@@ -189,24 +210,73 @@ def wide_dense_polys(ring):
 @given(wide_rings.flatmap(lambda r: st.tuples(wide_dense_polys(r), wide_dense_polys(r))))
 def test_dense_product_at_slot_edges_matches_convolution(pair):
     f, g = pair
-    assert poly.mul(f, g).coeffs == _convolution(f, g).coeffs
+    head = poly.uni_dense(f.family.ring, g.coeffs[:1])  # a length-1 operand
+    for crossover in CROSSOVERS:
+        for x, y in ((f, g), (head, f), (f, head), (f, f)):
+            assert mul_at(crossover, x, y).coeffs == _convolution(x, y).coeffs
 
 
 @pytest.mark.parametrize(
-    "m, c", [(1, 127), (1, -127), (2, 64), (2, -64), (15, 17), (4, 64), (2, 2**63), (2, -(2**63))]
+    "m, c",
+    [(1, 127), (1, -127), (2, 64), (2, -64), (15, 17), (4, 64), (2, 2**63), (2, -(2**63))]
+    + [(3, 333), (3, -333), (4, 250), (4, -250), (9, 111_111_111), (2, -(5 * 10**20))],
 )
 def test_dense_product_sum_lands_on_the_bound(m, c):
-    # the middle of (1 + ... + X^(m-1)) * c(1 + ... + X^(m-1)) is m*c: 127, 128, 255, 256, 2^64
+    # the middle of (1 + ... + X^(m-1)) * c(1 + ... + X^(m-1)) is m*c, which is the bound:
+    # 127, 128, 255, 256, 2^64 in bytes and 999, 1000, 999999999, 10^21 in digits
     f, g = poly.uni_dense(Z, [1] * m), poly.uni_dense(Z, [c] * m)
-    out = poly.mul(f, g).coeffs
-    assert out == _convolution(f, g).coeffs
-    assert out[m - 1] == m * c
+    for crossover in CROSSOVERS:
+        out = mul_at(crossover, f, g).coeffs
+        assert out == _convolution(f, g).coeffs
+        assert out[m - 1] == m * c
 
 
 def test_dense_product_with_a_zero_operand():
     zero, big = poly.uni_dense(Z, [0]), poly.uni_dense(Z, [10**30])
-    assert poly.mul(zero, big).coeffs == (0,)
-    assert poly.mul(big, zero).coeffs == (0,)
+    for crossover in CROSSOVERS:
+        assert mul_at(crossover, zero, big).coeffs == (0,)
+        assert mul_at(crossover, big, zero).coeffs == (0,)
+
+
+def test_the_crossover_picks_the_radix():
+    # an all-ones operand of length n has bound n, so slots of n.bit_length() // 8 + 1 bytes;
+    # n is the shortest whose packed size reaches the crossover
+    packed_bits = lambda n: 8 * (n.bit_length() // 8 + 1) * n
+    n = next(n for n in range(1, poly._DECIMAL_BITS) if packed_bits(n) >= poly._DECIMAL_BITS)
+    convolution = mock.patch.object(poly, "_decimal_convolution", wraps=poly._decimal_convolution)
+    for length, radix_10 in ((n - 1, False), (n, True)):
+        f = poly.uni_dense(Z, [1] * length)
+        with convolution as spy:
+            assert poly.mul(f, f).coeffs == tuple(range(1, length)) + tuple(range(length, 0, -1))
+        assert spy.called == radix_10
+
+
+def test_a_coefficient_past_the_digit_limit_keeps_to_base_256():
+    limit = sys.get_int_max_str_digits() or 4300
+    f, g = poly.uni_dense(Z, [10 ** (limit + 1), -3]), poly.uni_dense(Z, [7, 1])
+    assert mul_at(0, f, g) == graded.mul_dense(f, g)
+
+
+def test_the_base_10_product_leaves_the_callers_decimal_context_alone():
+    f, g = poly.uni_dense(Z, range(-50, 50)), poly.uni_dense(Z, range(300))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3
+        for signal in ctx.traps:
+            ctx.traps[signal] = True
+        before = (ctx.prec, dict(ctx.traps), dict(ctx.flags))
+        assert mul_at(0, f, g) == graded.mul_dense(f, g)
+        assert decimal.getcontext() is ctx
+        assert (ctx.prec, dict(ctx.traps), dict(ctx.flags)) == before
+
+
+@pytest.mark.parametrize("crossover", CROSSOVERS)
+def test_each_dense_product_counts_its_positions_once(crossover):
+    # criterion 10: the dense product walks out_len positions, counted once, on either path
+    for ring in (Z, Z2, ModularRing(32003)):
+        f, g = poly.uni_dense(ring, range(-20, 20)), poly.uni_dense(ring, [5] * 7)
+        with mock.patch.object(instrument, "bump", wraps=instrument.bump) as bump:
+            mul_at(crossover, f, g)
+        bump.assert_called_once_with("dense_positions", len(f.coeffs) + len(g.coeffs) - 1)
 
 
 def test_uni_normal_arithmetic_with_mixed_signs():
