@@ -351,11 +351,18 @@ def default_names(arity: int) -> tuple:
     return tuple(f"X{i + 1}" for i in range(arity))
 
 
-def _term_body(c_abs: int, factors: list) -> str:
-    check_printable(c_abs)
-    for _, e in factors:
-        check_printable(e)
-    parts = [name if e == 1 else f"{name}^{e}" for name, e in factors]
+def _term_body(c_abs: int, factors: list, bits: int) -> str:
+    """One term's text; only a number longer than bits goes through check_printable."""
+    if c_abs.bit_length() > bits:
+        check_printable(c_abs)
+    parts = []
+    for name, e in factors:
+        if e == 1:
+            parts.append(name)
+            continue
+        if e.bit_length() > bits:
+            check_printable(e)
+        parts.append(f"{name}^{e}")
     if not parts:
         return str(c_abs)
     if c_abs == 1:
@@ -367,7 +374,10 @@ def render(p, names=None) -> str:
     """Canonical text form: terms ascending, "+"/"-" separated.
 
     Coefficient 1 and exponent 1 are left implicit, so a term looks like
-    "X^2", "3*X1*X2^4", or a bare integer for the constant term.
+    "X^2", "3*X1*X2^4", or a bare integer for the constant term. A number
+    past the int/str digit limit is refused with NumberTooLargeError; the
+    limit is read once per polynomial, and only a number of more than
+    printable_bits() bits is checked against it.
     """
     if isinstance(p, (DenseSeq, UniNormal)):
         p = convert(p, "sparse")
@@ -384,9 +394,10 @@ def render(p, names=None) -> str:
         unpack = lambda e: [(names[0], e)] if e else []
     if p.is_zero():
         return "0"
+    bits = printable_bits()
     pieces = []
     for idx, c in p.terms:
-        body = _term_body(abs(c), unpack(idx))
+        body = _term_body(abs(c), unpack(idx), bits)
         if not pieces:
             pieces.append(f"-{body}" if c < 0 else body)
         else:

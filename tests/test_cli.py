@@ -345,6 +345,16 @@ def test_unprintable_product_is_refused():
     _refused_as_too_large(["mul", power, power, "--vars", "X"])
 
 
+def test_products_whose_packing_weights_have_thousands_of_digits():
+    limit = sys.get_int_max_str_digits()  # 4300 by default
+    n = "1" + "0" * (limit - 1)
+    assert run_command(["mul", f"X^{n}", "Y", "--vars", "X,Y"]) == (0, f"X^{n}*Y")
+    n = "9" * limit  # X^(n+1)*Y, the product's first term, has an exponent of limit + 1 digits
+    code, text = run_command(["mul", f"X^{n}*Y", f"Y^{n} + X", "--vars", "X,Y", "--ring", "Z7"])
+    refusal = f"error: a number runs past {limit} digits, where int/str conversion stops"
+    assert (code, text) == (1, refusal)
+
+
 def test_huge_modulus_and_sphere_dimension_are_refused():
     _refused_as_too_large(["normalize", "X", "--ring", "Z/" + "7" * 5000, "--vars", "X"])
     _refused_as_too_large(["cohomology-group", "S" + "7" * 5000, "1"])

@@ -7,7 +7,7 @@ from cohomring.dsum import NAT, ConstantFamily, DenseSeq, ExpIndex, SparseSum, t
 from cohomring.errors import IndexMismatchError
 from cohomring.rings import IntegerRing, ModularRing
 
-from conftest import Z, Z2, multi_polys, rings, uni_dense_polys, uni_sparse_polys
+from conftest import Z, Z2, coeffs, rings, uni_dense_polys, uni_sparse_polys
 
 FZ = ConstantFamily(Z)
 FZ2 = ConstantFamily(Z2)
@@ -108,9 +108,25 @@ def _pairs_product(a, b):
     )
 
 
+Z32003 = ModularRing(32003)
+# small exponents collide; ones past 2^64 make the packing weights big ints
+_exponents = st.integers(0, 3) | st.integers(2**64, 2**64 + 3)
+
+
+def _poly_pair(ring, arity):
+    """Two polynomials in `arity` variables, or two univariate sparse ones when arity is 0."""
+    if arity:
+        exps = st.tuples(*[_exponents] * arity)
+        make = lambda ts: poly.multi(ring, arity, ts)
+    else:
+        exps, make = _exponents, lambda ts: poly.uni_sparse(ring, ts)
+    polys = st.lists(st.tuples(exps, coeffs), max_size=6).map(make)
+    return st.tuples(polys, polys)
+
+
 @given(
-    st.sampled_from([Z, Z2, Z6]).flatmap(
-        lambda r: st.tuples(multi_polys(r, arity=3, max_exp=3), multi_polys(r, arity=3, max_exp=3))
+    st.tuples(st.sampled_from([Z, Z2, Z6, Z32003]), st.integers(0, 4)).flatmap(
+        lambda ring_arity: _poly_pair(*ring_arity)
     )
 )
 # (2*X + 4*Y) * 3*Z cancels completely over Z/6, and (X + Y) * (X - Y) in part
@@ -118,6 +134,11 @@ def _pairs_product(a, b):
 @example(
     (poly.multi(Z, 3, {(1, 0, 0): 1, (0, 1, 0): 1}), poly.multi(Z, 3, {(1, 0, 0): 1, (0, 1, 0): -1}))
 )
+# one-term operands, with exponents past 2^64 in both slots
+@example((poly.multi(Z32003, 2, {(2**64, 1): 5}), poly.multi(Z32003, 2, {(3, 2**64 + 2): 32000})))
+# (2*X^(2^64) + 4*Y) * 3*X cancels completely over Z/6
+@example((poly.multi(Z6, 2, {(2**64, 0): 2, (0, 1): 4}), poly.multi(Z6, 2, {(1, 0): 3})))
+@example((poly.multi(Z, 0, {(): 3}), poly.multi(Z, 0, {(): -2})))
 def test_mul_sparse_is_one_merge_of_all_term_pairs(pair):
     a, b = pair
     instrument.reset()

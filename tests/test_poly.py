@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 
 from cohomring import graded, instrument, poly
 from cohomring.dsum import ConstantFamily, DenseSeq, ExpIndex, SparseSum, to_dense
-from cohomring.errors import ArityMismatchError, IndexMismatchError, ZeroPolynomialError
-from cohomring.rings import IntegerRing, ModularRing
+from cohomring.errors import (
+    ArityMismatchError,
+    IndexMismatchError,
+    NumberTooLargeError,
+    ZeroPolynomialError,
+)
+from cohomring.rings import IntegerRing, ModularRing, check_printable
 
 from conftest import (
     Z,
@@ -184,6 +189,64 @@ def test_render_multivariate():
     # ascending graded-lex: XY sits below X^2 because X outranks Y
     q = poly.multi(Z2, 2, {(2, 0): 1, (1, 1): 1})
     assert poly.render(q, names=("X", "Y")) == "X*Y + X^2"
+
+
+def _render_checking_every_number(p, names):
+    """render's output with check_printable run on every coefficient and exponent."""
+
+    def body(c_abs, factors):
+        check_printable(c_abs)
+        for _, e in factors:
+            check_printable(e)
+        parts = [name if e == 1 else f"{name}^{e}" for name, e in factors]
+        if not parts:
+            return str(c_abs)
+        if c_abs == 1:
+            return "*".join(parts)
+        return "*".join([str(c_abs)] + parts)
+
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for exps, c in p.terms:
+        text = body(abs(c), [(names[i], e) for i, e in enumerate(exps) if e])
+        if not pieces:
+            pieces.append(f"-{text}" if c < 0 else text)
+        else:
+            pieces.append(f"- {text}" if c < 0 else f"+ {text}")
+    return " ".join(pieces)
+
+
+# at a 640-digit limit, printable_bits() is 2126 and 10^640 has 2127 bits: numbers on
+# both sides of the bit bound, and of the digit limit itself
+_near_the_limit = (
+    st.integers(1, 3)
+    | st.integers(2**2126 - 2, 2**2126 + 2)
+    | st.integers(10**640 - 3, 10**640 + 1)
+)
+_signed_near_the_limit = _near_the_limit | _near_the_limit.map(lambda c: -c)
+
+
+@given(
+    st.lists(
+        st.tuples(st.tuples(_near_the_limit, _near_the_limit), _signed_near_the_limit), max_size=4
+    )
+)
+def test_render_refuses_exactly_what_checking_every_number_refuses(terms):
+    p = poly.multi(Z, 2, terms)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        try:
+            want = _render_checking_every_number(p, ("X", "Y"))
+        except NumberTooLargeError as exc:
+            with pytest.raises(NumberTooLargeError) as got:
+                poly.render(p, ("X", "Y"))
+            assert str(got.value) == str(exc)
+        else:
+            assert poly.render(p, ("X", "Y")) == want
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def _convolution(f, g):
