@@ -13,26 +13,34 @@ moves between the univariate forms without changing the polynomial.
 Dense multiplication packs coefficients into slots of one big number and
 lets one native multiplication do the convolution (Kronecker substitution),
 which keeps products of degree ~10^4 to milliseconds. There is one product
-for every coefficient ring: slots hold signed values offset past the largest
-possible sum (balanced decoding, as in Harvey 2009), so integer coefficients
-of either sign need no sign split, and over Z/n the only extra step is
-reducing the result mod n. The product has two radices, picked by the
-shorter operand's packed size, min(len a, len b) * 8 * sb bits for sb-byte
-slots:
+for every coefficient ring. When neither operand has a negative coefficient
+(every product over Z/n, and Z products with nonnegative coefficients),
+slots hold the convolution sums unsigned, in just enough bytes or digits for
+the largest possible sum. Only when an operand has a negative coefficient do
+slots hold signed values offset past that sum (balanced decoding, as in
+Harvey 2009), which costs one more digit or bit per slot and an all-offset
+constant subtracted from each operand and added to the product. Over Z/n
+the unpack reduces each slot mod n. Equal operands are packed once, so the
+multiplication is a square. The product has two radices, picked from the
+packed sizes of both operands, len * 8 * sb bits for sb-byte slots:
 
-  * below _DECIMAL_BITS, base 256: slots of bytes in one int, multiplied by
-    CPython's Karatsuba;
-  * from _DECIMAL_BITS up, base 10: slots of decimal digits in one
+  * base 256: slots of bytes in one int, multiplied by CPython's Karatsuba;
+  * base 10, once the shorter operand packs to _DECIMAL_SHORT_BITS and both
+    together to _DECIMAL_BITS: slots of decimal digits in one
     decimal.Decimal, multiplied by the number-theoretic transform of
     CPython's C _decimal module (libmpdec), in a private exact context.
 
-Below the crossover the transform's fixed costs and the text conversions
-lose: on the benchmark's dense-product classes (best of 7-15 runs, 2-CPU
-host) the base-10 product took up to 2.6 times as long under 1.5*10^5 bits,
-balanced products crossed between 10^5 and 1.9*10^5 bits, and on balanced
-degree-3*10^4 operands it took 0.42-0.69 of the base-256 time. The crossover
-sits above every degree-3*10^3 class. A slot wider than the int/str digit
-limit keeps to base 256.
+Both lines come from a sweep of both radices over Z (signed and
+nonnegative), Z/7 and Z/32003, shorter operands of 500-12,000 terms, length
+ratios 1-16 (best of 7 per radix, 2-CPU host). Where the rule takes base
+10, it took 0.37-1.05 of the base-256 time (above 1 in 5 of 102 products,
+4 of them signed). Where it keeps base 256, base 10 took longer in 69 of 74
+products, up to 2.2 times: in 54 of 55 whose shorter operand packs below
+45,000 bits, however long the other (Karatsuba's lopsided product is then
+cheap per chunk of the longer operand), and in 14 of 17 balanced products
+below 180,000 bits together. Near the lines the radices are within about
+10% of each other, because libmpdec pads its transform to lengths of 2^k or
+3*2^k. A slot wider than the int/str digit limit keeps to base 256.
 
 UniNormal is a canonical view over the same dense arithmetic. The schoolbook
 convolution in graded.mul_dense stays available as the independent
@@ -169,9 +177,11 @@ def degree_and_lead(p) -> tuple:
 # ------------------------------------------------------------- multiplication
 
 
-# The shorter operand's packed size, in bits, from which a dense product takes
-# base 10; the module docstring gives the measurement behind it.
-_DECIMAL_BITS = 170_000
+# A dense product takes base 10 once its operands pack to _DECIMAL_BITS bits
+# together and the shorter one alone to _DECIMAL_SHORT_BITS; the module
+# docstring gives the measurements behind both.
+_DECIMAL_BITS = 180_000
+_DECIMAL_SHORT_BITS = 45_000
 # Integer arithmetic in decimal that refuses, rather than rounds, a result it
 # cannot hold exactly; private, so the caller's decimal.getcontext() is never
 # read or changed.
@@ -182,55 +192,92 @@ _EXACT = decimal.Context(
 )
 
 
-def _decimal_convolution(a: tuple, b: tuple, w: int, out_len: int) -> list:
-    """Convolution of a and b through one signed base-10 Kronecker product.
+def _pack_digits(cs, w: int, off: int) -> decimal.Decimal:
+    """cs at X = 10^w, reversed: w-digit slots, most significant first, each
+    holding c + off, less the all-off constant."""
+    if not off:
+        return decimal.Decimal((f"%0{w}d" * len(cs)) % tuple(cs), _EXACT)
+    number = decimal.Decimal("".join([str(c + off) for c in cs]), _EXACT)
+    return _EXACT.subtract(number, decimal.Decimal(str(off) * len(cs), _EXACT))
 
-    Each slot is w digits wide. Slots are written most significant first, so
-    the number packed from a is a's reversal at X = 10^w, and the product's
-    digits read back in ascending degree.
+
+def _pack_bytes(cs, sb: int, half: int) -> int:
+    """cs at X = 256^sb: sb-byte slots, least significant first, each holding
+    c + half, less the all-half constant."""
+    if not half:
+        return int.from_bytes(b"".join([c.to_bytes(sb, "little") for c in cs]), "little")
+    number = int.from_bytes(b"".join([(c + half).to_bytes(sb, "little") for c in cs]), "little")
+    return number - int.from_bytes(half.to_bytes(sb, "little") * len(cs), "little")
+
+
+def _decimal_convolution(a, b, w: int, off: int, n: int, out_len: int) -> list:
+    """Convolution of a and b, mod n if n, through one base-10 Kronecker product.
+
+    The product of the reversed packings reads back in ascending degree once
+    the all-off constant of out_len slots is added back.
     """
-    off = 55 * 10 ** (w - 2)
-    offsets = lambda n: decimal.Decimal(str(off) * n, _EXACT)
+    x = _pack_digits(a, w, off)
+    product = _EXACT.multiply(x, x if a == b else _pack_digits(b, w, off))
+    if off:
+        product = _EXACT.add(product, decimal.Decimal(str(off) * out_len, _EXACT))
+    # an unsigned product prints no leading zeros for its top slots
+    raw = _EXACT.to_sci_string(product).zfill(w * out_len)
+    slots = range(0, w * out_len, w)
+    if off:
+        return [int(raw[k : k + w]) - off for k in slots]
+    if n:
+        return [int(raw[k : k + w]) % n for k in slots]
+    return [int(raw[k : k + w]) for k in slots]
 
-    def pack(cs) -> decimal.Decimal:
-        digits = "".join([str(c + off) for c in cs])
-        return _EXACT.subtract(decimal.Decimal(digits, _EXACT), offsets(len(cs)))
 
-    raw = _EXACT.to_sci_string(_EXACT.add(_EXACT.multiply(pack(a), pack(b)), offsets(out_len)))
-    return [int(raw[k : k + w]) - off for k in range(0, w * out_len, w)]
+def _byte_convolution(a, b, sb: int, half: int, n: int, out_len: int) -> list:
+    """Convolution of a and b, mod n if n, through one base-256 Kronecker product."""
+    x = _pack_bytes(a, sb, half)
+    product = x * (x if a == b else _pack_bytes(b, sb, half))
+    if half:
+        product += int.from_bytes(half.to_bytes(sb, "little") * out_len, "little")
+    raw = product.to_bytes(sb * out_len, "little")
+    slots = range(0, sb * out_len, sb)
+    if half:
+        return [int.from_bytes(raw[k : k + sb], "little") - half for k in slots]
+    if n:
+        return [int.from_bytes(raw[k : k + sb], "little") % n for k in slots]
+    return [int.from_bytes(raw[k : k + sb], "little") for k in slots]
 
 
 def _dense_mul_coeffs(ring: Ring, a: tuple, b: tuple) -> list:
-    """Convolution of a and b through one signed Kronecker product.
+    """Convolution of a and b through one Kronecker product, mod n over Z/n.
 
-    Every coefficient and convolution sum is at most bound in absolute value,
-    and each slot holds its value plus an offset that keeps it positive and
-    inside the slot, so once the all-offset constant is added back each slot
-    reads unsigned without a borrow from its neighbour. Base 256 (slots of sb
-    bytes, offset half their range) below the crossover; base 10 (slots of w
-    digits, one more than bound has, offset 5.5 * 10^(w-1)) from
-    _DECIMAL_BITS up, unless a slot would pass the int/str digit limit.
+    Every coefficient and convolution sum is at most bound in absolute value.
+    When neither operand has a negative coefficient every sum is in [0, bound]
+    and each slot holds it unsigned. Otherwise each slot holds its value plus
+    an offset that keeps it positive and inside the slot, so once the
+    all-offset constant is added back each slot reads unsigned without a
+    borrow from its neighbour. Base 256 (slots of sb bytes, the offset half
+    their range) below the crossover; base 10 (slots of w digits, the offset
+    5.5 * 10^(w-1)) from it up, unless a slot would pass the int/str digit
+    limit. Equal operands are packed once, and the product is a square.
     """
     if not a or not b:
         return []
     out_len = len(a) + len(b) - 1
     instrument.bump("dense_positions", out_len)
-    bound = max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) * min(len(a), len(b))
-    sb = bound.bit_length() // 8 + 1  # the least sb with bound < half
+    n = ring.n if isinstance(ring, ModularRing) else 0
+    lo_a, lo_b = min(a), min(b)
+    if n and min(lo_a, lo_b) < 0:  # a hand-built DenseSeq; mod n the product is the same
+        a, b, lo_a, lo_b = tuple(c % n for c in a), tuple(c % n for c in b), 0, 0
+    signed = lo_a < 0 or lo_b < 0  # so only over Z
+    short, long = sorted((len(a), len(b)))
+    bound = max(max(a), -lo_a, 1) * max(max(b), -lo_b, 1) * short
+    # the least sb with bound < 2^(8 sb), or with bound < half = 2^(8 sb - 1) when signed
+    sb = (bound.bit_length() + 7 + signed) // 8
+    bits = 8 * sb
     budget = printable_bits()  # bound < 2^(budget - 4) prints, a digit to spare
-    if 8 * sb * min(len(a), len(b)) >= _DECIMAL_BITS and (not budget or 8 * sb <= budget - 4):
-        out = _decimal_convolution(a, b, len(str(bound)) + 1, out_len)
-    else:
-        half = 1 << (8 * sb - 1)
-        offsets = lambda n: int.from_bytes(half.to_bytes(sb, "little") * n, "little")
-
-        def pack(cs) -> int:
-            buf = b"".join((c + half).to_bytes(sb, "little") for c in cs)
-            return int.from_bytes(buf, "little") - offsets(len(cs))
-
-        raw = (pack(a) * pack(b) + offsets(out_len)).to_bytes(sb * out_len, "little")
-        out = [int.from_bytes(raw[k * sb : (k + 1) * sb], "little") - half for k in range(out_len)]
-    return [c % ring.n for c in out] if isinstance(ring, ModularRing) else out
+    to_decimal = bits * short >= _DECIMAL_SHORT_BITS and bits * (short + long) >= _DECIMAL_BITS
+    if to_decimal and (not budget or bits <= budget - 4):
+        w = len(str(bound)) + signed
+        return _decimal_convolution(a, b, w, 55 * 10 ** (w - 2) if signed else 0, n, out_len)
+    return _byte_convolution(a, b, sb, 1 << (bits - 1) if signed else 0, n, out_len)
 
 
 def mul(p, q):

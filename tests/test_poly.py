@@ -113,18 +113,30 @@ def test_multi_product_collects_by_exponent_vector():
     assert sq == poly.multi(Z, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
 
-# the dense product's crossover forced to 0, so every product takes the base-10
+# the dense product's crossovers forced to 0, so every product takes the base-10
 # path, and past every input here, so every product takes the base-256 path
 CROSSOVERS = (0, 10**9)
 
 
 def mul_at(crossover, f, g):
-    """poly.mul with the base-10 crossover set to `crossover` packed bits."""
-    with mock.patch.object(poly, "_DECIMAL_BITS", crossover):
+    """poly.mul with both base-10 crossovers set to `crossover` packed bits."""
+    with mock.patch.multiple(poly, _DECIMAL_BITS=crossover, _DECIMAL_SHORT_BITS=crossover):
         return poly.mul(f, g)
 
 
-@given(rings.flatmap(lambda r: st.tuples(uni_dense_polys(r), uni_dense_polys(r))))
+# over Z, uni_dense_polys almost never draws an operand without a negative
+# coefficient, which is the kind whose slots are unsigned
+nonneg_dense_polys = st.lists(st.integers(0, 100), max_size=31).map(
+    lambda cs: poly.uni_dense(Z, cs)
+)
+
+
+@given(
+    st.one_of(
+        rings.flatmap(lambda r: st.tuples(uni_dense_polys(r), uni_dense_polys(r))),
+        st.tuples(nonneg_dense_polys, nonneg_dense_polys),
+    )
+)
 def test_fast_dense_product_matches_convolution(pair):
     f, g = pair
     for crossover in CROSSOVERS:
@@ -294,6 +306,26 @@ def test_dense_product_sum_lands_on_the_bound(m, c):
         assert out[m - 1] == m * c
 
 
+@pytest.mark.parametrize(
+    "ring, m, c",
+    [(Z, 3, 333), (Z, 4, 250), (Z, 15, 17), (Z, 2, 128), (Z, 5, 13107), (Z, 4, 16384)]
+    + [(Z, 3, 6148914691236517205), (Z, 2, 2**63), (Z, 9, 111_111_111), (Z, 10, 10**8)]
+    + [(ModularRing(32003), m, c) for m, c in ((3, 333), (4, 250), (15, 17), (2, 128))]
+    + [(ModularRing(32003), 5, 13107), (ModularRing(32003), 4, 16384)]
+    + [(ModularRing(2**61 - 1), 15, 1229782938247303441), (ModularRing(2**61 - 1), 16, 2**60)]
+    + [(ModularRing(2**61 - 1), 9, 111_111_111_111_111_111), (ModularRing(2**61 - 1), 10, 10**17)],
+)
+def test_an_unsigned_sum_lands_on_the_slot_edge(ring, m, c):
+    # nonnegative operands take unsigned slots, and the middle sum m*c is the bound:
+    # 999, 1000, 255, 256, 65535, 65536, 2^64 - 1, 2^64, 10^9 - 1, 10^9 over Z, and
+    # the same up to 65536, then 2^64 - 1, 2^64, 10^18 - 1, 10^18, before reducing mod n
+    f, g = poly.uni_dense(ring, [1] * m), poly.uni_dense(ring, [c] * m)
+    for crossover in CROSSOVERS:
+        out = mul_at(crossover, f, g).coeffs
+        assert out == _convolution(f, g).coeffs
+        assert out[m - 1] == ring.normalize(m * c)
+
+
 def test_dense_product_with_a_zero_operand():
     zero, big = poly.uni_dense(Z, [0]), poly.uni_dense(Z, [10**30])
     for crossover in CROSSOVERS:
@@ -301,17 +333,64 @@ def test_dense_product_with_a_zero_operand():
         assert mul_at(crossover, big, zero).coeffs == (0,)
 
 
+@pytest.mark.parametrize("ring", [Z, ModularRing(7)])
+def test_unsigned_zero_slots_keep_their_place(ring):
+    # base 10 prints no leading zeros ("0" for an all-zero product), and its most
+    # significant slots hold the lowest degrees, so they must be padded back
+    zeros, late = poly.uni_dense(ring, [0, 0, 0]), poly.uni_dense(ring, [0, 0, 5])
+    for crossover in CROSSOVERS:
+        assert mul_at(crossover, zeros, poly.uni_dense(ring, [0, 0])).coeffs == (0, 0, 0, 0)
+        out = mul_at(crossover, late, poly.uni_dense(ring, [0, 3])).coeffs
+        assert out == (0, 0, 0, ring.normalize(15))
+
+
+def test_a_hand_built_negative_entry_over_z_mod_n():
+    z7 = ConstantFamily(ModularRing(7))
+    f, g = DenseSeq(z7, (-1, 8, 3)), DenseSeq(z7, (2, -9))
+    for crossover in CROSSOVERS:
+        assert mul_at(crossover, f, g) == graded.mul_dense(f, g)
+        assert mul_at(crossover, f, g).coeffs == (5, 4, 4, 1)
+
+
+def test_a_negative_operand_times_a_nonnegative_one():
+    neg, pos = poly.uni_dense(Z, [-3, 0, 7, -(2**40)]), poly.uni_dense(Z, [2, 5, 0, 1, 2**33])
+    for crossover in CROSSOVERS:
+        assert mul_at(crossover, neg, pos) == _convolution(neg, pos)
+        assert mul_at(crossover, pos, neg) == _convolution(pos, neg)
+
+
+@pytest.mark.parametrize("crossover, pack", [(0, "_pack_digits"), (10**9, "_pack_bytes")])
+@pytest.mark.parametrize("coeffs", [range(-50, 250), range(300)])
+def test_a_square_packs_its_operand_once(crossover, pack, coeffs):
+    f = poly.uni_dense(Z, coeffs)
+    g = DenseSeq(f.family, tuple(coeffs))  # equal coefficients in another tuple
+    for x, y in ((f, f), (f, g)):
+        with mock.patch.object(poly, pack, wraps=getattr(poly, pack)) as spy:
+            assert mul_at(crossover, x, y) == graded.mul_dense(x, y)
+        spy.assert_called_once()
+
+
 def test_the_crossover_picks_the_radix():
-    # an all-ones operand of length n has bound n, so slots of n.bit_length() // 8 + 1 bytes;
-    # n is the shortest whose packed size reaches the crossover
-    packed_bits = lambda n: 8 * (n.bit_length() // 8 + 1) * n
-    n = next(n for n in range(1, poly._DECIMAL_BITS) if packed_bits(n) >= poly._DECIMAL_BITS)
+    # all-ones operands of lengths s <= l have bound s, so unsigned slots of
+    # ceil(s.bit_length() / 8) bytes; base 10 once the shorter operand packs to
+    # _DECIMAL_SHORT_BITS and both together to _DECIMAL_BITS
+    def rule(s, l):
+        bits = 8 * ((s.bit_length() + 7) // 8)
+        return bits * s >= poly._DECIMAL_SHORT_BITS, bits * (s + l) >= poly._DECIMAL_BITS
+
     convolution = mock.patch.object(poly, "_decimal_convolution", wraps=poly._decimal_convolution)
-    for length, radix_10 in ((n - 1, False), (n, True)):
-        f = poly.uni_dense(Z, [1] * length)
-        with convolution as spy:
-            assert poly.mul(f, f).coeffs == tuple(range(1, length)) + tuple(range(length, 0, -1))
-        assert spy.called == radix_10
+    # just below its boundary a balanced pair misses _DECIMAL_BITS, a 1:8 pair _DECIMAL_SHORT_BITS
+    for ratio, below in ((1, (True, False)), (8, (False, True))):
+        s = next(s for s in range(1, poly._DECIMAL_BITS) if all(rule(s, ratio * s)))
+        assert rule(s - 1, ratio * (s - 1)) == below
+        for short, radix_10 in ((s - 1, False), (s, True)):
+            long = ratio * short
+            f, g = poly.uni_dense(Z, [1] * short), poly.uni_dense(Z, [1] * long)
+            with convolution as spy:
+                out = poly.mul(f, g).coeffs
+            n = short + long - 1
+            assert out == tuple(min(k + 1, short, n - k) for k in range(n))
+            assert spy.called == radix_10
 
 
 def test_a_coefficient_past_the_digit_limit_keeps_to_base_256():
