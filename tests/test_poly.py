@@ -395,18 +395,21 @@ def test_the_crossover_picks_the_radix():
 
 def test_a_coefficient_past_the_digit_limit_keeps_to_base_256():
     limit = sys.get_int_max_str_digits() or 4300
-    f, g = poly.uni_dense(Z, [10 ** (limit + 1), -3]), poly.uni_dense(Z, [7, 1])
-    assert mul_at(0, f, g) == graded.mul_dense(f, g)
+    for first in ([10 ** (limit + 1), -3], [10 ** (limit + 1), 3]):  # offset and unsigned slots
+        f, g = poly.uni_dense(Z, first), poly.uni_dense(Z, [7, 1])
+        assert mul_at(0, f, g) == graded.mul_dense(f, g)
 
 
 def test_the_base_10_product_leaves_the_callers_decimal_context_alone():
-    f, g = poly.uni_dense(Z, range(-50, 50)), poly.uni_dense(Z, range(300))
+    pairs = [(range(-50, 50), range(300)), (range(100), range(300))]  # offset and unsigned slots
     with decimal.localcontext() as ctx:
         ctx.prec = 3
         for signal in ctx.traps:
             ctx.traps[signal] = True
         before = (ctx.prec, dict(ctx.traps), dict(ctx.flags))
-        assert mul_at(0, f, g) == graded.mul_dense(f, g)
+        for a, b in pairs:
+            f, g = poly.uni_dense(Z, a), poly.uni_dense(Z, b)
+            assert mul_at(0, f, g) == graded.mul_dense(f, g)
         assert decimal.getcontext() is ctx
         assert (ctx.prec, dict(ctx.traps), dict(ctx.flags)) == before
 
