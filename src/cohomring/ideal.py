@@ -16,6 +16,7 @@ QuotElem wraps a polynomial kept in normal form, which makes quotient-ring
 arithmetic plain polynomial arithmetic followed by reduction.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -223,10 +224,21 @@ def is_groebner(basis: RewriteBasis) -> bool:
     return True
 
 
+# How many field-mode bases keep their Groebner verdict. Each CLI reduce parses
+# its basis afresh, so the verdict is kept by value, for the last few bases.
+_GROEBNER_VERDICTS = 64
+
+
+@functools.lru_cache(maxsize=_GROEBNER_VERDICTS)
+def _known_groebner(basis: RewriteBasis) -> bool:
+    return is_groebner(basis)
+
+
 def require_groebner(basis: RewriteBasis) -> None:
     """Refuse a field-mode basis that is not Groebner: modulo such a basis
-    the remainder depends on the order of the generators."""
-    if basis.mode == FIELD and not is_groebner(basis):
+    the remainder depends on the order of the generators. The verdict is
+    remembered for equal bases."""
+    if basis.mode == FIELD and not _known_groebner(basis):
         raise NotConfluentError("normal forms are only unique for a Groebner basis")
 
 

@@ -25,6 +25,8 @@ multiplication is a square. The product has two radices, picked from the
 packed sizes of both operands, len * 8 * sb bits for sb-byte slots:
 
   * base 256: slots of bytes in one int, multiplied by CPython's Karatsuba;
+    slots of up to 8 bytes are packed from and read back through machine
+    words, so neither pass runs a Python loop over the slots;
   * base 10, once the shorter operand packs to _DECIMAL_SHORT_BITS and both
     together to _DECIMAL_BITS: slots of decimal digits in one
     decimal.Decimal, multiplied by the number-theoretic transform of
@@ -32,15 +34,19 @@ packed sizes of both operands, len * 8 * sb bits for sb-byte slots:
 
 Both lines come from a sweep of both radices over Z (signed and
 nonnegative), Z/7 and Z/32003, shorter operands of 500-12,000 terms, length
-ratios 1-16 (best of 7 per radix, 2-CPU host). Where the rule takes base
-10, it took 0.37-1.05 of the base-256 time (above 1 in 5 of 102 products,
-4 of them signed). Where it keeps base 256, base 10 took longer in 69 of 74
-products, up to 2.2 times: in 54 of 55 whose shorter operand packs below
-45,000 bits, however long the other (Karatsuba's lopsided product is then
-cheap per chunk of the longer operand), and in 14 of 17 balanced products
-below 180,000 bits together. Near the lines the radices are within about
-10% of each other, because libmpdec pads its transform to lengths of 2^k or
-3*2^k. A slot wider than the int/str digit limit keeps to base 256.
+ratios 1-16 (180 products, best of 20 per radix, 2-CPU host). Where the
+rule takes base 10, it took 0.38-1.10 of the base-256 time (above 1 in 1 of
+70 products). Where it keeps base 256, base 10 took longer in 100 of 110
+products, up to 6.1 times: in 91 of 100 whose shorter operand packs below
+100,000 bits, however long the other (Karatsuba's lopsided product is then
+cheap per chunk of the longer operand), and in 9 of 10 below 400,000 bits
+together. Near the lines the radices are mostly within about 10% of each
+other, because libmpdec pads its transform to lengths of 2^k or 3*2^k; the
+widest gap is Z/32003 at 96,000 bits for the shorter operand, kept on base
+256 though base 10 took 0.80-0.90 of its time. Signed and unsigned products
+fare alike under the one rule: it gave up 1.004 and 1.005 of the best
+radix's total time. A slot wider than the int/str digit limit keeps to base
+256.
 
 UniNormal is a canonical view over the same dense arithmetic. The schoolbook
 convolution in graded.mul_dense stays available as the independent
@@ -49,6 +55,7 @@ reference.
 
 import decimal
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -180,8 +187,8 @@ def degree_and_lead(p) -> tuple:
 # A dense product takes base 10 once its operands pack to _DECIMAL_BITS bits
 # together and the shorter one alone to _DECIMAL_SHORT_BITS; the module
 # docstring gives the measurements behind both.
-_DECIMAL_BITS = 180_000
-_DECIMAL_SHORT_BITS = 45_000
+_DECIMAL_BITS = 400_000
+_DECIMAL_SHORT_BITS = 100_000
 # Integer arithmetic in decimal that refuses, rather than rounds, a result it
 # cannot hold exactly; private, so the caller's decimal.getcontext() is never
 # read or changed.
@@ -206,16 +213,32 @@ def _pack_digits(cs, w: int, off: int) -> decimal.Decimal:
     return _EXACT.subtract(number, decimal.Decimal(str(off) * len(cs), _EXACT))
 
 
+# The index of a machine word's least significant byte (0 little-endian, 7
+# big-endian): byte j of a word sits at j ^ _LOW_BYTE.
+_LOW_BYTE = 0 if sys.byteorder == "little" else 7
+_FLIP_TOP_BIT = bytes(byte ^ 0x80 for byte in range(256))
+
+
 def _pack_bytes(cs, sb: int, half: int) -> int:
     """cs at X = 256^sb: sb-byte slots, least significant first, each holding
     c + half, less the all-half constant.
 
-    Unsigned slots skip the add, which takes about a sixth of their pack;
-    building the offset list first would cost a signed pack about a quarter.
+    Slots of up to 8 bytes are copied out of the coefficients' machine words
+    in sb strided byte copies; in an offset slot, adding half flips the top
+    bit of c's two's complement.
     """
+    if sb > 8:
+        raw = b"".join([(c + half).to_bytes(sb, "little") for c in cs])
+    else:
+        words = array("q" if half else "Q", cs).tobytes()
+        raw = bytearray(sb * len(cs))
+        for j in range(sb):
+            raw[j::sb] = words[j ^ _LOW_BYTE :: 8]
+        if half:
+            raw[sb - 1 :: sb] = raw[sb - 1 :: sb].translate(_FLIP_TOP_BIT)
+    number = int.from_bytes(raw, "little")
     if not half:
-        return int.from_bytes(b"".join([c.to_bytes(sb, "little") for c in cs]), "little")
-    number = int.from_bytes(b"".join([(c + half).to_bytes(sb, "little") for c in cs]), "little")
+        return number
     return number - int.from_bytes(half.to_bytes(sb, "little") * len(cs), "little")
 
 
@@ -240,18 +263,28 @@ def _decimal_convolution(a, b, w: int, off: int, n: int, out_len: int) -> list:
 
 
 def _byte_convolution(a, b, sb: int, half: int, n: int, out_len: int) -> list:
-    """Convolution of a and b, mod n if n, through one base-256 Kronecker product."""
+    """Convolution of a and b, mod n if n, through one base-256 Kronecker product.
+
+    Slots of up to 8 bytes read back through machine words: sb strided byte
+    copies widen each slot to 8 bytes, so the unpack runs in C.
+    """
     x = _pack_bytes(a, sb, half)
     product = x * (x if a == b else _pack_bytes(b, sb, half))
     if half:
         product += int.from_bytes(half.to_bytes(sb, "little") * out_len, "little")
     raw = product.to_bytes(sb * out_len, "little")
-    slots = range(0, sb * out_len, sb)
+    if sb > 8:
+        slots = [int.from_bytes(raw[k : k + sb], "little") for k in range(0, sb * out_len, sb)]
+    else:
+        words = bytearray(8 * out_len)
+        for j in range(sb):
+            words[j ^ _LOW_BYTE :: 8] = raw[j::sb]
+        slots = memoryview(words).cast("Q")
     if half:
-        return [int.from_bytes(raw[k : k + sb], "little") - half for k in slots]
+        return list(map(half.__rsub__, slots))
     if n:
-        return [int.from_bytes(raw[k : k + sb], "little") % n for k in slots]
-    return [int.from_bytes(raw[k : k + sb], "little") for k in slots]
+        return list(map(n.__rmod__, slots))
+    return list(slots)
 
 
 def _dense_mul_coeffs(ring: Ring, a: tuple, b: tuple) -> list:

@@ -1,12 +1,14 @@
 import json
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cohomring import cli
+from cohomring import ideal as ideal_module
 from cohomring.cli import main, run_command
 from cohomring.cohomology import catalog_entries
 
@@ -34,6 +36,17 @@ def test_reduce_example_json_bytes():
         '"inputs": {"expr": "X^2", "ideal": "(X^3, Y^2, X^2+X*Y)", '
         '"ring": "Z2", "vars": "X,Y"}, "result": "X*Y"}'
     )
+
+
+def test_field_reduce_checks_an_equal_basis_once():
+    # the leads X^3 and X^2 share X, so the Groebner check forms S-polynomials
+    ideal_module._known_groebner.cache_clear()
+    with mock.patch.object(ideal_module, "s_poly", wraps=ideal_module.s_poly) as spy:
+        assert run_command(REDUCE_ARGS) == (0, "X*Y")
+        formed = spy.call_count
+        assert run_command(REDUCE_ARGS) == (0, "X*Y")
+    assert formed > 0
+    assert spy.call_count == formed
 
 
 def test_distinguish_example():

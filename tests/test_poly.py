@@ -326,6 +326,44 @@ def test_an_unsigned_sum_lands_on_the_slot_edge(ring, m, c):
         assert out[m - 1] == ring.normalize(m * c)
 
 
+def _slot_top_operands(ring, sb, signed):
+    """Coefficients of two operands whose product takes sb-byte slots, with a
+    slot sum at the top of that width: 2^(8 sb) - 1 unsigned, and
+    +-(2^(8 sb - 1) - 1) signed, which only Z has. Over Z/32003 from 4 bytes
+    up the largest sum is m * (n - 1)^2, the most that fits."""
+    if ring == Z:
+        top = 2 ** (8 * sb - 1) - 1 if signed else 2 ** (8 * sb) - 1
+        middle = -top if signed else 2 ** (8 * sb - 1)  # the "Q" typecode's sign bit at sb = 8
+        return [top, middle, 0, 1, top - 1, -1 if signed else top], [1]
+    top = 2 ** (8 * sb) - 1
+    if top < ring.n:
+        return [top, 0, 1, top - 1, top], [1]
+    if 2 ** (4 * sb) + 1 < ring.n:  # top = (2^(4 sb) - 1) * (2^(4 sb) + 1)
+        a = 2 ** (4 * sb) - 1
+        return [a, 0, 1, a - 1, a], [a + 2]
+    # m-term operands of n - 1 each: the middle sum m * (n - 1)^2 is the bound
+    m = top // (ring.n - 1) ** 2
+    return [ring.n - 1] * m, [ring.n - 1] * m
+
+
+@pytest.mark.parametrize(
+    "ring, sb, signed",
+    [(Z, sb, signed) for sb in range(1, 10) for signed in (False, True)]
+    + [(ModularRing(2**61 - 1), sb, False) for sb in range(1, 10)]
+    # past 5 bytes a Z/32003 product needs operands too long for the reference
+    + [(ModularRing(32003), sb, False) for sb in range(1, 6)],
+)
+def test_each_byte_slot_width_reads_back_its_top(ring, sb, signed):
+    # slots of 1-8 bytes pass through machine words, 9 bytes through the wide fallback
+    a, b = _slot_top_operands(ring, sb, signed)
+    f, g = poly.uni_dense(ring, a), poly.uni_dense(ring, b)
+    expected = graded.mul_dense(f, g)
+    for x, y in ((f, g), (g, f)):
+        with mock.patch.object(poly, "_byte_convolution", wraps=poly._byte_convolution) as spy:
+            assert mul_at(10**9, x, y) == expected
+        assert spy.call_args.args[2:4] == (sb, 2 ** (8 * sb - 1) if signed else 0)
+
+
 def test_dense_product_with_a_zero_operand():
     zero, big = poly.uni_dense(Z, [0]), poly.uni_dense(Z, [10**30])
     for crossover in CROSSOVERS:
