@@ -24,6 +24,7 @@ exhaustive search refutes every candidate graded isomorphism.
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -338,14 +339,18 @@ class CatalogEntry:
             raise BasisMismatchError("element belongs to a different quotient")
         return self.image_of_poly(q.rep)
 
+    @cached_property
+    def _staircase(self) -> dict:
+        """Normal monomials through degree 2*top + 1; only the staircase check reads past the top."""
+        return normal_monomials(self.basis, self.var_degrees, 2 * self.presented.max_degree + 1)
+
     def generator_monomials(self) -> dict:
         """(degree, generator index) -> the normal monomial mapping onto it."""
-        stairs = normal_monomials(self.basis, self.var_degrees, self.presented.max_degree)
         table = {}
         for d in self.presented.degrees():
             group = self.presented.group(d)
-            for mono, order in stairs.get(d, ()):
-                img = self.image_of_poly(poly.multi(self.ring, self.basis.arity, {mono: 1}))
+            for mono, order in self._staircase[d]:
+                img = self._monomial_image(mono)
                 if len(img.terms) != 1 or img.terms[0][0] != d:
                     raise AlgebraError(f"monomial {mono} does not map to degree {d}")
                 coords = img.terms[0][1]
@@ -664,19 +669,21 @@ def distinguish(s1: Space, s2: Space, ring: Ring) -> Verdict:
 # ----------------------------------------------------------------- verification
 
 
+def _cyclic_product(orders: list, cap: int):
+    """Every coordinate tuple of a product of cyclic groups; None if one is infinite or past cap."""
+    if 0 in orders or math.prod(orders) > cap:
+        return None
+    return itertools.product(*map(range, orders))
+
+
 def all_quot_elements(entry: CatalogEntry, cap: int = 64):
     """Every element of the quotient ring, or None when infinite or past cap."""
-    stairs = normal_monomials(entry.basis, entry.var_degrees, entry.presented.max_degree)
-    monos = [mo for d in sorted(stairs) for mo in stairs[d]]
-    count = 1
-    for _, order in monos:
-        if order == 0:
-            return None
-        count *= order
-        if count > cap:
-            return None
+    monos = [mo for d in range(entry.presented.max_degree + 1) for mo in entry._staircase[d]]
+    combos = _cyclic_product([order for _, order in monos], cap)
+    if combos is None:
+        return None
     out = []
-    for combo in itertools.product(*[range(order) for _, order in monos]):
+    for combo in combos:
         terms = [(mono, c) for (mono, _), c in zip(monos, combo) if c]
         out.append(QuotElem.make(entry.basis, poly.multi(entry.ring, entry.basis.arity, terms)))
     return out
@@ -685,15 +692,11 @@ def all_quot_elements(entry: CatalogEntry, cap: int = 64):
 def all_ring_elements(pring: PresentedGradedRing, cap: int = 64):
     """Every element of a finite presented ring, or None past the cap."""
     slots = [(d, i, o) for d, g in pring.groups for i, o in enumerate(g.orders)]
-    count = 1
-    for _, _, o in slots:
-        if o == 0:
-            return None
-        count *= o
-        if count > cap:
-            return None
+    combos = _cyclic_product([o for _, _, o in slots], cap)
+    if combos is None:
+        return None
     out = []
-    for combo in itertools.product(*[range(o) for _, _, o in slots]):
+    for combo in combos:
         by_degree: dict = {}
         for (d, i, _), v in zip(slots, combo):
             by_degree.setdefault(d, [0] * pring.group(d).rank)[i] = v
@@ -758,10 +761,8 @@ def verify_entry(entry: CatalogEntry, samples: int = 500, seed: int = 0) -> Repo
     pring = entry.presented
 
     def staircase():
-        hi = 2 * pring.max_degree + 1
-        stairs = normal_monomials(entry.basis, entry.var_degrees, hi)
-        for d in range(hi + 1):
-            got = sorted(order for _, order in stairs.get(d, ()))
+        for d, monos in entry._staircase.items():
+            got = sorted(order for _, order in monos)
             want = sorted(pring.group(d).orders)
             if got != want:
                 return f"degree {d}: staircase orders {got}, group orders {want}"
@@ -770,8 +771,7 @@ def verify_entry(entry: CatalogEntry, samples: int = 500, seed: int = 0) -> Repo
     run("staircase-matches-groups", staircase)
 
     def bijection():
-        table = entry.generator_monomials()
-        for (d, i), mono in table.items():
+        for mono in entry._generator_table.values():
             q = QuotElem.make(entry.basis, poly.multi(entry.ring, entry.basis.arity, {mono: 1}))
             if entry.to_quotient(entry.from_quotient(q)) != q:
                 return f"monomial {mono} does not round-trip"
@@ -803,11 +803,10 @@ def verify_entry(entry: CatalogEntry, samples: int = 500, seed: int = 0) -> Repo
         exhaustive = all_quot_elements(entry)
         if exhaustive is not None:
             return exhaustive, [(q1, q2) for q1 in exhaustive for q2 in exhaustive]
-        stairs = normal_monomials(entry.basis, entry.var_degrees, pring.max_degree)
         monos = [
             QuotElem.make(entry.basis, poly.multi(entry.ring, entry.basis.arity, {mono: 1}))
-            for d in sorted(stairs)
-            for mono, _ in stairs[d]
+            for d in range(pring.max_degree + 1)
+            for mono, _ in entry._staircase[d]
         ]
         variables = [
             QuotElem.make(entry.basis, poly.variable(entry.ring, entry.basis.arity, vi))

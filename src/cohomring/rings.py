@@ -112,11 +112,10 @@ class ModularRing(Ring):
         return a % self.n
 
     def try_invert(self, a: int) -> int | None:
-        a = a % self.n
-        g, x, _ = _extended_gcd(a, self.n)
-        if g != 1:
+        try:
+            return pow(a, -1, self.n)
+        except ValueError:
             return None
-        return x % self.n
 
     @property
     def is_field(self) -> bool:
@@ -128,19 +127,6 @@ class ModularRing(Ring):
 
     def __str__(self) -> str:
         return f"Z{self.n}"
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
 
 
 # ----------------------------------------------------------------- number size

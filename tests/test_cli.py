@@ -38,15 +38,26 @@ def test_reduce_example_json_bytes():
     )
 
 
+GROEBNER_CHECK_ARGS = ["groebner-check", "--ideal", "(X^3, Y^2, X^2+X*Y)", "--ring", "Z2", "--vars", "X,Y"]
+
+
 def test_field_reduce_checks_an_equal_basis_once():
-    # the leads X^3 and X^2 share X, so the Groebner check forms S-polynomials
-    ideal_module._known_groebner.cache_clear()
-    with mock.patch.object(ideal_module, "s_poly", wraps=ideal_module.s_poly) as spy:
-        assert run_command(REDUCE_ARGS) == (0, "X*Y")
-        formed = spy.call_count
-        assert run_command(REDUCE_ARGS) == (0, "X*Y")
-    assert formed > 0
-    assert spy.call_count == formed
+    # the leads X^3 and X^2 share X, so the Groebner check forms S-polynomials;
+    # reduce and groebner-check keep one verdict per basis between them
+    runs = {tuple(REDUCE_ARGS): (0, "X*Y"), tuple(GROEBNER_CHECK_ARGS): (0, "true")}
+    for argv, want in runs.items():
+        ideal_module._known_groebner.cache_clear()
+        with mock.patch.object(ideal_module, "s_poly", wraps=ideal_module.s_poly) as spy:
+            assert run_command(argv) == want
+            formed = spy.call_count
+            for again, again_want in runs.items():
+                assert run_command(again) == again_want
+        assert formed > 0
+        assert spy.call_count == formed
+    # a term-ideal basis has no verdict to keep; it is refused on every call
+    refusal = (1, "error: confluence via S-polynomials needs field mode")
+    for _ in range(2):
+        assert run_command(["groebner-check", "--ideal", "(2*X, 3*Y)", "--vars", "X,Y"]) == refusal
 
 
 def test_distinguish_example():

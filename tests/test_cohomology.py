@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -183,6 +184,73 @@ def test_to_quotient_builds_the_generator_table_once(monkeypatch):
         g = coh.generator_elem(entry.presented, d, i)
         assert entry.from_quotient(entry.to_quotient(g)) == g
     assert len(calls) == 1
+
+
+def _count_derivations(monkeypatch):
+    """A Counter of the calls to normal_monomials and to generator_monomials."""
+    calls = collections.Counter()
+    normal_monomials = coh.normal_monomials
+    generator_monomials = coh.CatalogEntry.generator_monomials
+
+    def counted_stairs(*args):
+        calls["stairs"] += 1
+        return normal_monomials(*args)
+
+    def counted_table(self):
+        calls["table"] += 1
+        return generator_monomials(self)
+
+    monkeypatch.setattr(coh, "normal_monomials", counted_stairs)
+    monkeypatch.setattr(coh.CatalogEntry, "generator_monomials", counted_table)
+    return calls
+
+
+def test_a_warm_entry_derives_nothing(monkeypatch):
+    calls = _count_derivations(monkeypatch)
+    for space, ring in ((KLEIN, Z2), (CP2, Z)):
+        entry = coh.catalog_get(space, ring)
+        calls.clear()
+        first = coh.verify_entry(entry)
+        assert first.passed
+        assert calls == {"stairs": 1, "table": 1}
+        assert coh.verify_entry(entry).checks == first.checks
+        assert calls == {"stairs": 1, "table": 1}
+        # a replaced entry keeps nothing of the one it was made from
+        calls.clear()
+        assert coh.verify_entry(dataclasses.replace(entry)).checks == first.checks
+        assert calls == {"stairs": 1, "table": 1}
+
+
+def test_a_refused_staircase_is_refused_on_every_call(monkeypatch):
+    # S(X^2 + Y, X*Y) = Y^2, which neither lead divides
+    k2 = coh.catalog_get(KLEIN, Z2)
+    gens = [poly.multi(Z2, 2, {(2, 0): 1, (0, 1): 1}), poly.multi(Z2, 2, {(1, 1): 1})]
+    entry = dataclasses.replace(k2, basis=ideal.make_basis(gens))
+    assert not ideal.is_groebner(entry.basis)
+    calls = _count_derivations(monkeypatch)
+    witness = "normal forms are only unique for a Groebner basis"
+    seen = []
+    for _ in range(2):
+        report = coh.verify_entry(entry)
+        assert report.checks[0] == ("staircase-matches-groups", False, witness)
+        assert report.counterexample == f"staircase-matches-groups: {witness}"
+        seen.append(calls["stairs"])
+    # the refusal is raised again, not kept
+    assert 0 < seen[0] < seen[1]
+
+
+def test_both_enumerators_stop_at_the_same_cap():
+    k2 = coh.catalog_get(KLEIN, Z2)
+    for cap in (16, 64):
+        quotient = coh.all_quot_elements(k2, cap=cap)
+        ring = coh.all_ring_elements(k2.presented, cap=cap)
+        assert len(quotient) == len(set(quotient)) == 16
+        assert len(ring) == len(set(ring)) == 16
+    assert coh.all_quot_elements(k2, cap=15) is None
+    assert coh.all_ring_elements(k2.presented, cap=15) is None
+    s2 = coh.catalog_get(SPHERE2, Z)
+    assert coh.all_quot_elements(s2) is None
+    assert coh.all_ring_elements(s2.presented) is None
 
 
 def _reference_image(entry, p):
