@@ -10,10 +10,10 @@ Univariate polynomials come in three interchangeable forms:
 Multivariate polynomials are SparseSums over exponent vectors. convert()
 moves between the univariate forms without changing the polynomial.
 
-Dense multiplication packs coefficients into slots of one big number and
-lets one native multiplication do the convolution (Kronecker substitution),
-which keeps products of degree ~10^4 to milliseconds. There is one product
-for every coefficient ring. When neither operand has a negative coefficient
+Dense multiplication packs coefficients into slots of big numbers and lets
+native multiplication do the convolution (Kronecker substitution), which
+keeps products of degree ~10^4 to milliseconds. There is one product for
+every coefficient ring. When neither operand has a negative coefficient
 (every product over Z/n, and Z products with nonnegative coefficients),
 slots hold the convolution sums unsigned, in just enough bytes or digits for
 the largest possible sum. Only when an operand has a negative coefficient do
@@ -21,32 +21,41 @@ slots hold signed values offset past that sum (balanced decoding, as in
 Harvey 2009), which costs one more digit or bit per slot and an all-offset
 constant subtracted from each operand and added to the product. Over Z/n
 the unpack reduces each slot mod n. Equal operands are packed once, so the
-multiplication is a square. The product has two radices, picked from the
+multiplications are squares. The product has two radices, picked from the
 packed sizes of both operands, len * 8 * sb bits for sb-byte slots:
 
-  * base 256: slots of bytes in one int, multiplied by CPython's Karatsuba;
-    slots of up to 8 bytes are packed from and read back through machine
-    words, so neither pass runs a Python loop over the slots;
+  * base 256: slots of bytes, multiplied by CPython's Karatsuba at the two
+    points X = 2^(4 sb) and -X (Harvey's KS2): each operand's even and odd
+    coefficients are packed apart at X^2 = 256^sb, and the two products, of
+    half the length, give back the even and the odd coefficients; slots of
+    up to 8 bytes are packed from and read back through machine words, so
+    neither pass runs a Python loop over the slots;
   * base 10, once the shorter operand packs to _DECIMAL_SHORT_BITS and both
     together to _DECIMAL_BITS: slots of decimal digits in one
     decimal.Decimal, multiplied by the number-theoretic transform of
-    CPython's C _decimal module (libmpdec), in a private exact context.
+    CPython's C _decimal module (libmpdec), in a private exact context. It
+    stays at one point: two half-length transforms were faster on some
+    products and slower on others.
 
-Both lines come from a sweep of both radices over Z (signed and
-nonnegative), Z/7 and Z/32003, shorter operands of 500-12,000 terms, length
-ratios 1-16 (180 products, best of 20 per radix, 2-CPU host). Where the
-rule takes base 10, it took 0.38-1.10 of the base-256 time (above 1 in 1 of
-70 products). Where it keeps base 256, base 10 took longer in 100 of 110
-products, up to 6.1 times: in 91 of 100 whose shorter operand packs below
-100,000 bits, however long the other (Karatsuba's lopsided product is then
-cheap per chunk of the longer operand), and in 9 of 10 below 400,000 bits
-together. Near the lines the radices are mostly within about 10% of each
-other, because libmpdec pads its transform to lengths of 2^k or 3*2^k; the
-widest gap is Z/32003 at 96,000 bits for the shorter operand, kept on base
-256 though base 10 took 0.80-0.90 of its time. Signed and unsigned products
-fare alike under the one rule: it gave up 1.004 and 1.005 of the best
-radix's total time. A slot wider than the int/str digit limit keeps to base
-256.
+Both lines come from scripts/radix_sweep.py, which times both radices over
+Z (signed and nonnegative), Z/7 and Z/32003: a grid of shorter operands of
+500-12,000 terms and length ratios 1-16 (180 products, best of 20 per
+radix, 2-CPU host), and a second of 2,500-10,000 terms (100 products). On
+the first, where the rule takes base 10, it took 0.58-1.21 of the base-256
+time (above 1 in 11 of 43 products). Where it keeps base 256, base 10 took
+longer in 136 of 137 products, up to 6.7 times: in all 120 whose shorter
+operand packs below 170,000 bits, however long the other (Karatsuba's
+lopsided product is then cheap per chunk of the longer operand), and in 16
+of 17 below 800,000 bits together. Near the lines the radices are mostly
+within about 10% of each other, because libmpdec pads its transform to
+lengths of 2^k or 3*2^k, and Z/32003 turns to base 10 a little earlier than
+the other rings: on the second grid, at 168,000 bits for the shorter
+operand, it stays on base 256 though base 10 took 0.93-0.95 of its time.
+The rule gave up 1.006 and 1.004 of the per-product best total time on the
+two grids, where the best two lines for each grid alone gave 1.005 and
+1.004. Signed and unsigned products fare alike under the one rule (1.004
+and 1.007 on the first grid). A slot wider than the int/str digit limit
+keeps to base 256.
 
 UniNormal is a canonical view over the same dense arithmetic. The schoolbook
 convolution in graded.mul_dense stays available as the independent
@@ -187,8 +196,8 @@ def degree_and_lead(p) -> tuple:
 # A dense product takes base 10 once its operands pack to _DECIMAL_BITS bits
 # together and the shorter one alone to _DECIMAL_SHORT_BITS; the module
 # docstring gives the measurements behind both.
-_DECIMAL_BITS = 400_000
-_DECIMAL_SHORT_BITS = 100_000
+_DECIMAL_BITS = 800_000
+_DECIMAL_SHORT_BITS = 170_000
 # Integer arithmetic in decimal that refuses, rather than rounds, a result it
 # cannot hold exactly; private, so the caller's decimal.getcontext() is never
 # read or changed.
@@ -219,27 +228,40 @@ _LOW_BYTE = 0 if sys.byteorder == "little" else 7
 _FLIP_TOP_BIT = bytes(byte ^ 0x80 for byte in range(256))
 
 
-def _pack_bytes(cs, sb: int, half: int) -> int:
-    """cs at X = 256^sb: sb-byte slots, least significant first, each holding
-    c + half, less the all-half constant.
+def _all_half(sb: int, half: int, count: int) -> int:
+    """count sb-byte slots, each holding half."""
+    return int.from_bytes(half.to_bytes(sb, "little") * count, "little")
 
+
+def _pack_bytes(cs, sb: int, half: int) -> tuple:
+    """cs at X = 2^(4 sb) and at X = -2^(4 sb) (Harvey's negated point).
+
+    The even and the odd coefficients are packed apart at 256^sb, as E and O,
+    in sb-byte slots, least significant first, each holding c + half, less
+    the all-half constant; cs(X) is E + X * O and cs(-X) is E - X * O.
     Slots of up to 8 bytes are copied out of the coefficients' machine words
-    in sb strided byte copies; in an offset slot, adding half flips the top
-    bit of c's two's complement.
+    in 2 sb strided byte copies, evens first; in an offset slot, adding half
+    flips the top bit of c's two's complement.
     """
+    evens = (len(cs) + 1) // 2
     if sb > 8:
-        raw = b"".join([(c + half).to_bytes(sb, "little") for c in cs])
+        raw = b"".join([(c + half).to_bytes(sb, "little") for c in cs[0::2] + cs[1::2]])
     else:
         words = array("q" if half else "Q", cs).tobytes()
         raw = bytearray(sb * len(cs))
         for j in range(sb):
-            raw[j::sb] = words[j ^ _LOW_BYTE :: 8]
+            raw[j : sb * evens : sb] = words[j ^ _LOW_BYTE :: 16]
+            raw[sb * evens + j :: sb] = words[8 + (j ^ _LOW_BYTE) :: 16]
         if half:
             raw[sb - 1 :: sb] = raw[sb - 1 :: sb].translate(_FLIP_TOP_BIT)
-    number = int.from_bytes(raw, "little")
-    if not half:
-        return number
-    return number - int.from_bytes(half.to_bytes(sb, "little") * len(cs), "little")
+    view = memoryview(raw)
+    even = int.from_bytes(view[: sb * evens], "little")
+    odd = int.from_bytes(view[sb * evens :], "little")
+    if half:
+        even -= _all_half(sb, half, evens)
+        odd -= _all_half(sb, half, len(cs) - evens)
+    odd <<= 4 * sb
+    return even + odd, even - odd
 
 
 def _decimal_convolution(a, b, w: int, off: int, n: int, out_len: int) -> list:
@@ -263,22 +285,36 @@ def _decimal_convolution(a, b, w: int, off: int, n: int, out_len: int) -> list:
 
 
 def _byte_convolution(a, b, sb: int, half: int, n: int, out_len: int) -> list:
-    """Convolution of a and b, mod n if n, through one base-256 Kronecker product.
+    """Convolution of a and b, mod n if n, through base-256 Kronecker products
+    at X = 2^(4 sb) and at -X (Harvey's KS2).
 
-    Slots of up to 8 bytes read back through machine words: sb strided byte
-    copies widen each slot to 8 bytes, so the unpack runs in C.
+    The product h(X) = E(X^2) + X * O(X^2) holds its even coefficients in E
+    and its odd ones in O: half the sum of h(X) and h(-X) is E(256^sb), and
+    half their difference, shifted down 4 sb bits, is O(256^sb), each in
+    sb-byte slots. Two products of half the length cost Karatsuba about
+    2 * 2^-1.585 = 0.67 of one. The halves read back laid out as _pack_bytes
+    lays out an operand, evens first; slots of up to 8 bytes through machine
+    words, sb strided byte copies per half widening each slot to 8 bytes in
+    its even or odd place, so the unpack runs in C.
     """
-    x = _pack_bytes(a, sb, half)
-    product = x * (x if a == b else _pack_bytes(b, sb, half))
+    a_plus, a_minus = _pack_bytes(a, sb, half)
+    b_plus, b_minus = (a_plus, a_minus) if a == b else _pack_bytes(b, sb, half)
+    plus, minus = a_plus * b_plus, a_minus * b_minus
+    evens = (out_len + 1) // 2
+    even, odd = (plus + minus) >> 1, (plus - minus) >> (4 * sb + 1)
     if half:
-        product += int.from_bytes(half.to_bytes(sb, "little") * out_len, "little")
-    raw = product.to_bytes(sb * out_len, "little")
+        even += _all_half(sb, half, evens)
+        odd += _all_half(sb, half, out_len - evens)
+    raw = even.to_bytes(sb * evens, "little") + odd.to_bytes(sb * (out_len - evens), "little")
     if sb > 8:
-        slots = [int.from_bytes(raw[k : k + sb], "little") for k in range(0, sb * out_len, sb)]
+        wide = [int.from_bytes(raw[k : k + sb], "little") for k in range(0, sb * out_len, sb)]
+        slots = [0] * out_len
+        slots[0::2], slots[1::2] = wide[:evens], wide[evens:]
     else:
         words = bytearray(8 * out_len)
         for j in range(sb):
-            words[j ^ _LOW_BYTE :: 8] = raw[j::sb]
+            words[j ^ _LOW_BYTE :: 16] = raw[j : sb * evens : sb]
+            words[8 + (j ^ _LOW_BYTE) :: 16] = raw[sb * evens + j :: sb]
         slots = memoryview(words).cast("Q")
     if half:
         return list(map(half.__rsub__, slots))
@@ -288,7 +324,7 @@ def _byte_convolution(a, b, sb: int, half: int, n: int, out_len: int) -> list:
 
 
 def _dense_mul_coeffs(ring: Ring, a: tuple, b: tuple) -> list:
-    """Convolution of a and b through one Kronecker product, mod n over Z/n.
+    """Convolution of a and b through Kronecker substitution, mod n over Z/n.
 
     Every coefficient and convolution sum is at most bound in absolute value.
     When neither operand has a negative coefficient every sum is in [0, bound]
@@ -298,7 +334,7 @@ def _dense_mul_coeffs(ring: Ring, a: tuple, b: tuple) -> list:
     borrow from its neighbour. Base 256 (slots of sb bytes, the offset half
     their range) below the crossover; base 10 (slots of w digits, the offset
     5.5 * 10^(w-1)) from it up, unless a slot would pass the int/str digit
-    limit. Equal operands are packed once, and the product is a square.
+    limit. Equal operands are packed once, and the products are squares.
     """
     if not a or not b:
         return []

@@ -14,7 +14,7 @@ from cohomring.errors import (
     NumberTooLargeError,
     ZeroPolynomialError,
 )
-from cohomring.rings import IntegerRing, ModularRing, check_printable
+from cohomring.rings import IntegerRing, ModularRing, check_printable, printable_bits
 
 from conftest import (
     Z,
@@ -362,6 +362,46 @@ def test_each_byte_slot_width_reads_back_its_top(ring, sb, signed):
         with mock.patch.object(poly, "_byte_convolution", wraps=poly._byte_convolution) as spy:
             assert mul_at(10**9, x, y) == expected
         assert spy.call_args.args[2:4] == (sb, 2 ** (8 * sb - 1) if signed else 0)
+
+
+@pytest.mark.parametrize(
+    "ring, sb, signed",
+    [(Z, sb, signed) for sb in range(1, 10) for signed in (False, True)]
+    + [(ModularRing(2**61 - 1), sb, False) for sb in range(1, 10)]
+    + [(ModularRing(32003), sb, False) for sb in range(1, 6)],
+)
+def test_the_byte_packing_is_the_operand_at_both_points(ring, sb, signed):
+    # Harvey's KS2 packs cs(x) and cs(-x) at x = 2^(4 sb), here checked by direct evaluation
+    # on the slot-top coefficients, cut to lengths 1, 2, 3, 4 and the whole (odd and even)
+    half, x = 2 ** (8 * sb - 1) if signed else 0, 2 ** (4 * sb)
+    for operand in _slot_top_operands(ring, sb, signed):
+        for cs in {tuple(operand[:k]) for k in (1, 2, 3, 4, len(operand) - 1, len(operand))} - {()}:
+            at_x = sum(c * x**i for i, c in enumerate(cs))
+            at_minus_x = sum(c * (-x) ** i for i, c in enumerate(cs))
+            assert poly._pack_bytes(cs, sb, half) == (at_x, at_minus_x)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_a_slot_wider_than_the_digit_budget_keeps_to_base_256(signed):
+    # at a 640-digit limit printable_bits() is 2126, and base 10 takes a slot of at most
+    # 2126 - 4 bits; slots are whole bytes, so 265 bytes (2120 bits) is the widest, for a
+    # bound below 2^2120 unsigned and 2^2119 signed (the sign takes a bit)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert printable_bits() == 2126
+        edge = 2 ** ((2126 - 4) // 8 * 8 - signed)
+        spy = lambda name: mock.patch.object(poly, name, wraps=getattr(poly, name))
+        for c, to_decimal in ((edge - 1, True), (edge, False)):
+            # the shorter operand is [1], so the bound is c
+            f = poly.uni_dense(Z, [c, 3, -c, -1, c - 1] if signed else [c, 3, c, 0, c - 1])
+            g = poly.uni_dense(Z, [1])
+            for x, y in ((f, g), (g, f)):
+                with spy("_decimal_convolution") as dec, spy("_byte_convolution") as byte:
+                    assert mul_at(0, x, y) == graded.mul_dense(x, y)
+                assert (dec.called, byte.called) == (to_decimal, not to_decimal)
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_dense_product_with_a_zero_operand():
