@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from cohomring import dsum, expr, poly
 from cohomring.errors import AlgebraError, ParseError, UnknownVariableError
-from cohomring.rings import IntegerRing, ModularRing
+from cohomring.rings import IntegerRing, ModularRing, check_digits
 
 from conftest import multi_polys
 
@@ -175,9 +175,61 @@ def test_parse_ideal_refuses_text_after_the_closing_paren():
     assert caught.value.position == 3
 
 
-class _OracleParser(expr._Parser):
+def _oracle_tokenize(text: str) -> list:
+    """The character-by-character tokenizer: (kind, text, position) triples."""
+    out = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            check_digits(j - i, f"the number at position {i}")
+            out.append(("int", text[i:j], i))
+            i = j
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(("name", text[i:j], i))
+            i = j
+        elif c in "+-*^(),":
+            out.append((c, c, i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    out.append(("end", "", len(text)))
+    return out
+
+
+class _OracleParser:
     """The term-by-term parser: each factor is a polynomial, each "*" one
     poly.mul and each "+" or "-" one sum."""
+
+    def __init__(self, tokens: list, ring, names):
+        self.tokens = tokens
+        self.at = 0
+        self.depth = 0
+        self.ring = ring
+        self.names = tuple(names)
+        self.index = {name: k for k, name in enumerate(self.names)}
+
+    def peek(self):
+        return self.tokens[self.at]
+
+    def advance(self):
+        tok = self.tokens[self.at]
+        self.at += 1
+        return tok
+
+    def expect(self, kind: str, what: str):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}", tok[2])
+        return self.advance()
 
     def expr(self):
         negate = self.peek()[0] == "-"
@@ -237,7 +289,7 @@ def _outcome(parse, text, ring):
 
 
 def _oracle_parse(text, ring, names):
-    parser = _OracleParser(expr._tokenize(text), ring, names)
+    parser = _OracleParser(_oracle_tokenize(text), ring, names)
     out = parser.expr()
     tail = parser.peek()
     if tail[0] != "end":
@@ -265,7 +317,13 @@ _factors = st.recursive(
     st.sampled_from(_ATOMS), lambda inner: _expr_texts(inner).map("({})".format), max_leaves=10
 )
 _soup = st.lists(
-    st.sampled_from(_ATOMS + _INTS + ["*", "^", "+", "-", "(", ")", " ", ",", "Q", "2X", "&"]),
+    st.sampled_from(
+        _ATOMS
+        + _INTS
+        + ["*", "^", "+", "-", "(", ")", " ", ",", "Q", "2X", "&"]
+        + ["X ^ 2", "X^", "^2", "X\u00b2", "\u00b2", "\u0663", "\u216b", "_a"]
+        + ["\u00a0", "\u2003", "\x1c"]
+    ),
     max_size=12,
 ).map("".join)
 _texts = st.one_of(_expr_texts(_factors), _soup)
