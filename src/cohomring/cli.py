@@ -39,6 +39,11 @@ def _poly_setup(args):
     names = tuple(s.strip() for s in args.vars.split(",") if s.strip())
     if not names:
         raise ConfigError("no variables declared")
+    for k, name in enumerate(names):
+        if not expr.is_name(name):
+            raise ConfigError(f"cannot read {name!r} as a variable name")
+        if name in names[:k]:
+            raise ConfigError(f"variable {name!r} declared twice")
     return ring, names
 
 

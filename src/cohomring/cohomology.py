@@ -27,7 +27,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 from . import graded, poly
@@ -469,8 +469,12 @@ _CATALOG = {
 }
 
 
+@lru_cache(maxsize=64)
 def catalog_get(space: Space, ring: Ring) -> CatalogEntry:
-    """The catalog entry for a space/coefficient pair, or UnsupportedPairError."""
+    """The catalog entry for a space/coefficient pair, or UnsupportedPairError.
+
+    Entries are kept: a pair's presented ring, basis and cached properties
+    are built once, not on every call."""
     row = _CATALOG.get((space.kind, ring))
     if row is None:
         raise UnsupportedPairError("unsupported coefficient for this space")

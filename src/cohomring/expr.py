@@ -19,143 +19,150 @@ exponent vector; only parenthesized factors are multiplied as polynomials,
 and their product is then shifted by that monomial. An expr collects the
 signed (exponents, coefficient) pairs of all its terms and merges them once,
 so an n-term sum costs one canonicalization, not n.
+
+One pass of a compiled pattern (_TOKEN.findall) lexes the whole text into
+(integer, name, exponent, punctuation) tuples, a variable and its "^" exponent
+being one token, and the parser walks that list by index. Tokens carry no
+positions, as a text that parses needs none: a ParseError's position, or a
+stray character or over-long number, is found by matching the text again.
 """
+
+import re
+import sys
 
 from . import poly
 from .errors import ParseError, UnknownVariableError
 from .rings import Ring, check_digits
 
 _PUNCT = "+-*^(),"
-# deepest parenthesis nesting parsed; each level costs three Python frames
+# \s, \d and \w are str.isspace, str.isdecimal and (str.isalnum or "_") on
+# every code point. [^\W\d] is \w less the decimal digits, so it also takes
+# the other numerals ("²", "Ⅻ"); _refuse turns those away as a start.
+_NAME = r"[^\W\d]\w*"
+_TOKEN = re.compile(rf"(\d+)|({_NAME})(?:\s*\^\s*(\d+))?|(\S)")
+# in ASCII text, a character that starts no token
+_STRAY = re.compile(r"[^\s\w+*^(),-]")
+# deepest parenthesis nesting parsed; each level costs one Python frame
 MAX_NESTING = 100
 
 
-def _tokenize(text: str) -> list:
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            check_digits(j - i, f"the number at position {i}")
-            out.append(("int", text[i:j], i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("name", text[i:j], i))
-            i = j
-        elif c in _PUNCT:
-            out.append((c, c, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    out.append(("end", "", len(text)))
-    return out
+def is_name(text: str) -> bool:
+    """Whether text lexes as one variable name."""
+    return re.fullmatch(_NAME, text) is not None and (text[0].isalpha() or text[0] == "_")
+
+
+def _refuse(text: str) -> None:
+    """Raise the first refusal in text: a character that starts no token, or
+    a number with more digits than int() reads."""
+    for m in _TOKEN.finditer(text):
+        num, name, e, other = m.groups("")
+        c = other or name[:1]
+        if c and not (c in _PUNCT or c.isalpha() or c == "_"):
+            raise ParseError(f"unexpected character {c!r}", m.start())
+        for group, digits in ((1, num), (3, e)):
+            if digits:
+                check_digits(len(digits), f"the number at position {m.start(group)}")
+
+
+def _tokens(text: str) -> list:
+    limit = sys.get_int_max_str_digits()
+    if not text.isascii() or _STRAY.search(text) or 0 < limit < len(text):
+        _refuse(text)
+    tokens = _TOKEN.findall(text)
+    tokens.append(("", "", "", ""))
+    return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list, ring: Ring, names):
-        self.tokens = tokens
-        self.at = 0
-        self.depth = 0
+    def __init__(self, text: str, ring: Ring, names):
+        self.text = text
+        self.tokens = _tokens(text)
         self.ring = ring
-        self.names = tuple(names)
-        self.index = {name: k for k, name in enumerate(self.names)}
+        self.arity = len(names)
+        self.index = {name: k for k, name in enumerate(names)}
+        self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.at]
+    def fail(self, message: str, at: int):
+        """Raise a ParseError at the at-th token."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        raise ParseError(message, starts[at])
 
-    def advance(self):
-        tok = self.tokens[self.at]
-        self.at += 1
-        return tok
-
-    def expect(self, kind: str, what: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2])
-        return self.advance()
-
-    def ideal(self) -> list:
+    def ideal(self, i: int):
         # the ideal's own parentheses do not count toward MAX_NESTING
-        self.expect("(", '"(" to open an ideal')
-        gens = [self.expr()]
-        while self.peek()[0] == ",":
-            self.advance()
-            gens.append(self.expr())
-        self.expect(")", '"," or ")"')
-        return gens
+        tokens = self.tokens
+        if tokens[i][3] != "(":
+            self.fail('expected "(" to open an ideal', i)
+        gens = []
+        while True:
+            gen, i = self.expr(i + 1)
+            gens.append(gen)
+            if tokens[i][3] != ",":
+                break
+        if tokens[i][3] != ")":
+            self.fail('expected "," or ")"', i)
+        return gens, i + 1
 
-    def expr(self):
-        negate = self.peek()[0] == "-"
-        if negate:
-            self.advance()
-        pairs = self.term(negate)
-        while self.peek()[0] in ("+", "-"):
-            pairs += self.term(self.advance()[0] == "-")
-        return poly.multi(self.ring, len(self.names), pairs)
-
-    def term(self, negate: bool) -> list:
-        """The term's (exponents, coefficient) pairs, negated when asked."""
-        exps = [0] * len(self.names)
-        coeff, product = 1, None
-        if self.peek()[0] == "int":
-            coeff = int(self.advance()[1])
-        else:
-            product = self.factor(exps)
-        while self.peek()[0] == "*":
-            self.advance()
-            inner = self.factor(exps)
-            if inner is not None:
-                product = inner if product is None else poly.mul(product, inner)
-        if negate:
-            coeff = -coeff
-        if product is None:
-            return [(tuple(exps), coeff)]
-        mul = self.ring.mul
-        coeff = self.ring.normalize(coeff)
-        return [
-            (tuple(a + b for a, b in zip(e, exps)), mul(coeff, x)) for e, x in product.terms
-        ]
-
-    def factor(self, exps: list):
-        """A parenthesized factor's polynomial, or None after adding a variable
-        power into exps."""
-        kind, text, pos = self.peek()
-        if kind == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            self.advance()
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            self.expect(")", '")"')
-            return inner
-        if kind == "name":
-            self.advance()
-            if text not in self.index:
-                raise UnknownVariableError(f"unknown variable {text!r}")
-            e = 1
-            if self.peek()[0] == "^":
-                self.advance()
-                e = int(self.expect("int", "an exponent")[1])
-            exps[self.index[text]] += e
-            return None
-        raise ParseError("expected a number, variable, or parenthesized expression", pos)
+    def expr(self, i: int):
+        """The polynomial of the expr at token i, and the index past it."""
+        tokens, index, ring, arity = self.tokens, self.index, self.ring, self.arity
+        pairs = []
+        negate = tokens[i][3] == "-"
+        i += negate
+        while True:
+            exps = [0] * arity
+            coeff, product = 1, None
+            num = tokens[i][0]
+            if num:
+                coeff = int(num)
+                more = tokens[i + 1][3] == "*"
+                i += 1 + more
+            else:
+                more = True
+            while more:
+                _, name, e, op = tokens[i]
+                if name:
+                    k = index.get(name)
+                    if k is None:
+                        raise UnknownVariableError(f"unknown variable {name!r}")
+                    exps[k] += int(e) if e else 1
+                elif op == "(":
+                    if self.depth == MAX_NESTING:
+                        self.fail(f"parentheses nested deeper than {MAX_NESTING}", i)
+                    self.depth += 1
+                    inner, i = self.expr(i + 1)
+                    self.depth -= 1
+                    if tokens[i][3] != ")":
+                        self.fail('expected ")"', i)
+                    product = inner if product is None else poly.mul(product, inner)
+                else:
+                    self.fail("expected a number, variable, or parenthesized expression", i)
+                i += 1
+                more = tokens[i][3] == "*"
+                i += more
+            if negate:
+                coeff = -coeff
+            if product is None:
+                pairs.append((tuple(exps), coeff))
+            else:
+                mul, coeff = ring.mul, ring.normalize(coeff)
+                pairs += [(tuple(a + b for a, b in zip(x, exps)), mul(coeff, c)) for x, c in product.terms]
+            op = tokens[i][3]
+            if op != "+" and op != "-":
+                break
+            negate = op == "-"
+            i += 1
+        # "^" after a variable without an exponent: lexing left the "^" alone
+        if op == "^" and tokens[i - 1][1] and not tokens[i - 1][2]:
+            self.fail("expected an exponent", i + 1)
+        return poly.multi(ring, arity, pairs), i
 
 
 def _parse_all(text: str, ring: Ring, names, rule):
-    parser = _Parser(_tokenize(text), ring, names)
-    out = rule(parser)
-    tail = parser.peek()
-    if tail[0] != "end":
-        raise ParseError(f"unexpected {tail[1]!r}", tail[2])
+    parser = _Parser(text, ring, names)
+    out, i = rule(parser, 0)
+    num, name, _, other = parser.tokens[i]
+    if num or name or other:
+        parser.fail(f"unexpected {num or name or other!r}", i)
     return out
 
 

@@ -476,25 +476,6 @@ def default_names(arity: int) -> tuple:
     return tuple(f"X{i + 1}" for i in range(arity))
 
 
-def _term_body(c_abs: int, factors: list, bits: int) -> str:
-    """One term's text; only a number longer than bits goes through check_printable."""
-    if c_abs.bit_length() > bits:
-        check_printable(c_abs)
-    parts = []
-    for name, e in factors:
-        if e == 1:
-            parts.append(name)
-            continue
-        if e.bit_length() > bits:
-            check_printable(e)
-        parts.append(f"{name}^{e}")
-    if not parts:
-        return str(c_abs)
-    if c_abs == 1:
-        return "*".join(parts)
-    return "*".join([str(c_abs)] + parts)
-
-
 def render(p, names=None) -> str:
     """Canonical text form: terms ascending, "+"/"-" separated.
 
@@ -508,23 +489,32 @@ def render(p, names=None) -> str:
         p = convert(p, "sparse")
     if not isinstance(p, SparseSum):
         raise TypeError(f"cannot render {p!r}")
+    terms = p.terms
     if isinstance(p.monoid, ExpIndex):
         arity = p.monoid.arity
         names = tuple(names) if names else default_names(arity)
         if len(names) != arity:
             raise ArityMismatchError(f"{arity} variables, {len(names)} names")
-        unpack = lambda exps: [(names[i], e) for i, e in enumerate(exps) if e]
     else:
-        names = tuple(names) if names else ("X",)
-        unpack = lambda e: [(names[0], e)] if e else []
+        names = (tuple(names) if names else ("X",))[:1]
+        terms = [((e,), c) for e, c in terms]
     if p.is_zero():
         return "0"
     bits = printable_bits()
     pieces = []
-    for idx, c in p.terms:
-        body = _term_body(abs(c), unpack(idx), bits)
-        if not pieces:
-            pieces.append(f"-{body}" if c < 0 else body)
-        else:
-            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
-    return " ".join(pieces)
+    for exps, c in terms:
+        c_abs = -c if c < 0 else c
+        if c_abs.bit_length() > bits:
+            check_printable(c_abs)
+        parts = [] if c_abs == 1 else [str(c_abs)]
+        for name, e in zip(names, exps):
+            if e == 1:
+                parts.append(name)
+            elif e:
+                if e.bit_length() > bits:
+                    check_printable(e)
+                parts.append(f"{name}^{e}")
+        pieces.append(("- " if c < 0 else "+ ") + ("*".join(parts) if parts else "1"))
+    text = " ".join(pieces)
+    # the first term drops its "+ ", and its "- " becomes a bare "-"
+    return text[2:] if text[0] == "+" else "-" + text[2:]

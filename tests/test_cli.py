@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohomring import cli
+from cohomring import cohomology as coh
 from cohomring import ideal as ideal_module
 from cohomring.cli import main, run_command
 from cohomring.cohomology import catalog_entries
@@ -301,6 +302,36 @@ def test_usage_errors_exit_2():
     assert run_command(["no-such-command"])[0] == 2
     assert run_command(["reduce"])[0] == 2
     assert run_command(["normalize", "X", "--no-such-flag"])[0] == 2
+
+
+def test_vars_must_be_distinct_readable_names():
+    # a second X would shadow the first, and 2Y lexes as "2" then "Y"
+    assert run_command(["eval", "X", "5", "7", "--vars", "X,X"]) == (
+        1,
+        "error: variable 'X' declared twice",
+    )
+    for bad in ("2Y", "X^2", "X Y", "\u00b2", "&"):
+        assert run_command(["eval", "X", "5", "7", "--vars", f"X,{bad}"]) == (
+            1,
+            f"error: cannot read {bad!r} as a variable name",
+        )
+    assert run_command(["eval", "X*_y2*\u00e9", "5", "7", "2", "--vars", " X,_y2 ,\u00e9"]) == (0, "70")
+
+
+def test_a_catalog_entry_is_built_once(monkeypatch):
+    built = []
+    presented_ring = coh.presented_ring
+
+    def counted(*args):
+        built.append(args)
+        return presented_ring(*args)
+
+    monkeypatch.setattr(coh, "presented_ring", counted)
+    coh.catalog_get.cache_clear()
+    argv = ["cohomology-ring", "K2", "--coeff", "Z2"]
+    assert run_command(argv) == run_command(argv)
+    assert run_command(argv)[0] == 0
+    assert len(built) == 1
 
 
 def test_domain_errors_exit_1():

@@ -179,6 +179,7 @@ def test_to_quotient_builds_the_generator_table_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(coh.CatalogEntry, "generator_monomials", counted)
+    coh.catalog_get.cache_clear()  # a kept entry may have its table already
     entry = coh.catalog_get(KLEIN, Z2)
     for d, i in ((0, 0), (1, 0), (1, 1), (2, 0)):
         g = coh.generator_elem(entry.presented, d, i)
@@ -207,6 +208,7 @@ def _count_derivations(monkeypatch):
 
 def test_a_warm_entry_derives_nothing(monkeypatch):
     calls = _count_derivations(monkeypatch)
+    coh.catalog_get.cache_clear()  # a kept entry may be warm already
     for space, ring in ((KLEIN, Z2), (CP2, Z)):
         entry = coh.catalog_get(space, ring)
         calls.clear()
@@ -305,6 +307,7 @@ def _count_mul_sparse(monkeypatch):
 
 def test_image_of_poly_multiplies_once_per_monomial_prefix(monkeypatch):
     calls = _count_mul_sparse(monkeypatch)
+    coh.catalog_get.cache_clear()  # a kept entry may keep monomial images already
     entry = coh.catalog_get(CP2, Z)
     alpha = coh.generator_elem(entry.presented, 2, 0)
     beta = coh.generator_elem(entry.presented, 4, 0)

@@ -334,6 +334,10 @@ _rings = st.sampled_from([Z, Z2, ModularRing(6), ModularRing(7)])
 @example("X*X^2 - 0*X + X^0*(Y - X)*(X + Y)^2", Z)
 @example("-3*(X + 2*Y)*X - 6*Y*(X)", ModularRing(6))
 @example("((X", Z)
+@example("X ^ 2*Y^\u0663 - 2\u00b2", Z)
+@example("\u2003X^\u00a0+ Y", Z)
+@example("X^2^3 + X^2Y", Z)
+@example("\u216b*X + _a", Z)
 def test_parse_agrees_with_the_term_by_term_parser(text, ring):
     assert _outcome(expr.parse, text, ring) == _outcome(_oracle_parse, text, ring)
 

@@ -237,26 +237,27 @@ _near_the_limit = (
     | st.integers(10**640 - 3, 10**640 + 1)
 )
 _signed_near_the_limit = _near_the_limit | _near_the_limit.map(lambda c: -c)
+_polys_near_the_limit = st.lists(
+    st.tuples(st.tuples(_near_the_limit, _near_the_limit), _signed_near_the_limit), max_size=4
+).map(lambda terms: poly.multi(Z, 2, terms))
+# and ordinary polynomials in one to four variables
+_ordinary_polys = st.sampled_from([1, 2, 3, 4]).flatmap(lambda arity: multi_polys(Z, arity=arity))
 
 
-@given(
-    st.lists(
-        st.tuples(st.tuples(_near_the_limit, _near_the_limit), _signed_near_the_limit), max_size=4
-    )
-)
-def test_render_refuses_exactly_what_checking_every_number_refuses(terms):
-    p = poly.multi(Z, 2, terms)
+@given(_ordinary_polys | _polys_near_the_limit)
+def test_render_refuses_exactly_what_checking_every_number_refuses(p):
+    names = ("X", "Y", "Z", "W")[: p.monoid.arity]
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
         try:
-            want = _render_checking_every_number(p, ("X", "Y"))
+            want = _render_checking_every_number(p, names)
         except NumberTooLargeError as exc:
             with pytest.raises(NumberTooLargeError) as got:
-                poly.render(p, ("X", "Y"))
+                poly.render(p, names)
             assert str(got.value) == str(exc)
         else:
-            assert poly.render(p, ("X", "Y")) == want
+            assert poly.render(p, names) == want
     finally:
         sys.set_int_max_str_digits(before)
 
