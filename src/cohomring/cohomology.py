@@ -474,7 +474,8 @@ def catalog_get(space: Space, ring: Ring) -> CatalogEntry:
     """The catalog entry for a space/coefficient pair, or UnsupportedPairError.
 
     Entries are kept: a pair's presented ring, basis and cached properties
-    are built once, not on every call."""
+    are built once, not on every call.
+    """
     row = _CATALOG.get((space.kind, ring))
     if row is None:
         raise UnsupportedPairError("unsupported coefficient for this space")

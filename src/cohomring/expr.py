@@ -78,6 +78,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokens(text)
         self.ring = ring
+        names = tuple(names)
         self.arity = len(names)
         self.index = {name: k for k, name in enumerate(names)}
         self.depth = 0
